@@ -35,7 +35,7 @@ def main():
             f"alpha_R = {res.model.alpha_R:.1e}, beta_R = {res.model.beta_R:g}"
         )
         print(f"  predicted: E_min = {res.E_min:.3e} at N = {res.N_opt_real:.0f} "
-              f"(mesh of {res.N_opt_mesh} cells)")
+              f"(enclosing mesh: {res.N_opt_mesh} DoF at refinement {res.N_opt_mesh_ref})")
         print(f"  brute force: E_min = {best.value:.3e} at N = {best.n_dof}")
         print(f"  wall: prediction {t_pred:.2f} s, brute force {t_bf:.2f} s")
 

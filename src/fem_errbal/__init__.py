@@ -11,6 +11,7 @@ from .assembly import (
     LinearSystem,
     assemble_mixed,
     assemble_standard,
+    scale_system,
 )
 from .calibration import (
     CalibrationReport,
@@ -26,7 +27,6 @@ from .error_analysis import (
     ErrorCurve,
     ErrorRecord,
     FieldView,
-    apply_scaling,
     beta_R,
     beta_T,
     convergence_order,
@@ -57,6 +57,7 @@ from .prediction import (
     normalization,
     predict_opt,
     prediction_loop,
+    solve_level,
 )
 from .problem import (
     CATALOG_NAMES,
@@ -99,7 +100,6 @@ __all__ = [
     "SingularMatrixError",
     "SolveReport",
     "VARIABLES",
-    "apply_scaling",
     "assemble_mixed",
     "assemble_standard",
     "beta_R",
@@ -125,7 +125,9 @@ __all__ = [
     "predict_opt",
     "prediction_loop",
     "reconstruct",
+    "scale_system",
     "sensitivity_suite",
+    "solve_level",
     "solve_system",
     "variable_available",
 ]

@@ -16,7 +16,8 @@ Weak statements, with n the outward normal and (.,.) the L2 pairing:
              only through the first equation's right-hand side.
 
 The mixed unknowns are interleaved cell by cell so the monolithic matrix stays
-banded; block (M, B, ...) views are kept alongside for the segregated solver.
+banded; the segregated solver's block (M, B, C, ...) view is sliced from that
+band on each access, so there is one copy of the system.
 """
 
 from __future__ import annotations
@@ -209,14 +210,16 @@ class ScalingInfo:
 
 @dataclass
 class SaddleBlocks:
-    """Block view (M, B, right-hand sides) of a real mixed system.
+    """Block view of a real mixed system: M V + B U = G, C V + R U = H.
 
-    pure_saddle means the second-equation blocks are exactly (B^T, 0), which is
-    what the segregated Schur path requires.
+    pure_saddle means R = 0 and C is B^T up to the positive factor the
+    scaling put on B (norm_u/norm_v under M1), which is what the segregated
+    Schur path requires.
     """
 
     M: BandedMatrix
     B: sp.csr_matrix
+    C: sp.csr_matrix
     G: np.ndarray
     H: np.ndarray
     pure_saddle: bool
@@ -232,12 +235,43 @@ class LinearSystem:
     spec: ProblemSpec
     complex_valued: bool
     n_quad: int
-    blocks: Optional[SaddleBlocks] = None
     scaling: ScalingInfo = field(default_factory=lambda: ScalingInfo("none"))
 
     @property
     def n_unknowns(self) -> int:
         return self.matrix.n
+
+    @property
+    def blocks(self) -> Optional[SaddleBlocks]:
+        """Block view of a real mixed system, sliced from the band; None otherwise."""
+        if self.flavor != "mixed" or self.complex_valued:
+            return None
+        p, t, mat = self.p, self.mesh.cell_count, self.matrix
+        pos_v, pos_u = mixed_v_positions(p, t), mixed_u_positions(p, t).ravel()
+        nv, nu = pos_v.size, pos_u.size
+        gv = np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]  # v indices per cell
+        gu = np.arange(nu).reshape(t, p)
+
+        def entries(rows, cols):
+            return mat.ab[mat.kl + mat.ku + rows - cols, cols]
+
+        def block(rows, cols, row_pos, col_pos, shape):
+            rows, cols = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+            vals = entries(row_pos[rows], col_pos[cols])
+            return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+
+        m_block = BandedMatrix(nv, p, p)
+        for k in range(-p, p + 1):  # M[j + k, j]
+            js = np.arange(max(0, -k), nv - max(0, k))
+            m_block.ab[2 * p + k, js] = entries(pos_v[js + k], pos_v[js])
+        b_block = block(gv, gu, pos_v, pos_u, (nv, nu))
+        c_block = block(gu, gv, pos_u, pos_v, (nu, nv))
+        ratio = self.scaling.norm_u / self.scaling.norm_v if self.scaling.scheme == "M1" else 1.0
+        pure_saddle = block(gu, gu, pos_u, pos_u, (nu, nu)).count_nonzero() == 0 and bool(
+            abs(c_block * ratio - b_block.T).max() <= 1e-13 * (abs(b_block).max() + 1e-300)
+        )
+        return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
+                            H=self.rhs[pos_u], pure_saddle=pure_saddle)
 
     def scale_factor(self, var: str) -> float:
         return self.scaling.factor_for(var)
@@ -343,14 +377,12 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
     n_quad = n_quad if n_quad is not None else p + 2
     quad = gauss_legendre_rule(n_quad)
     t, h = mesh.cell_count, mesh.h
-    nv, nu = p * t + 1, p * t
     total = 2 * p * t + 1
     dtype = complex if spec.complex_valued else float
     x_q = (np.arange(t)[:, None] + quad.points[None, :]) * h
 
     me = h * reference_integral(phi, phi)
-    be_t = -reference_integral(psi, dphi)                                # (p, p+1)
-    be = be_t.T
+    be = -reference_integral(psi, dphi).T                                # (p+1, p)
     dv = np.asarray(spec.D(x_q), dtype=dtype)
     dxv = np.asarray(spec.D_x(x_q), dtype=dtype)
     # -(q, D_x v) - (q, D v_x); the 1/h of the physical derivative cancels h dx
@@ -360,19 +392,8 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
     )
     ce = np.broadcast_to(ce, (t, p, p + 1))
     rv = np.asarray(spec.r(x_q), dtype=dtype)
-    has_r = bool(np.any(rv != 0))
-    re = (
-        np.broadcast_to(h * _cell_integrals(rv, quad.weights, n_quad, psi, psi), (t, p, p))
-        if has_r
-        else None
-    )
     he = h * np.einsum("cq,qe->ce", quad.weights[None, :] * np.asarray(spec.f(x_q), dtype=dtype),
                        basis_table(p - 1, False, n_quad, 0))
-
-    scale_c = np.max(np.abs(be_t)) + 1e-300
-    pure_saddle = (not has_r) and bool(
-        np.max(np.abs(ce - be_t[None, :, :])) <= 1e-13 * scale_c
-    )
 
     pos_v = mixed_v_positions(p, t)
     pos_u = mixed_u_positions(p, t)
@@ -392,62 +413,24 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
     rows = np.broadcast_to(pos_u[:, :, None], (t, p, p + 1))
     cols = np.broadcast_to(vcell[:, None, :], (t, p, p + 1))
     mat.add_at(rows.ravel(), cols.ravel(), ce.ravel())
-    if has_r:
+    if np.any(rv != 0):
+        re = np.broadcast_to(h * _cell_integrals(rv, quad.weights, n_quad, psi, psi), (t, p, p))
         rows = np.broadcast_to(pos_u[:, :, None], (t, p, p))
         cols = np.broadcast_to(pos_u[:, None, :], (t, p, p))
         mat.add_at(rows.ravel(), cols.ravel(), re.ravel())
     np.add.at(rhs, pos_u.ravel(), he.ravel())
 
-    # block view in (v, u) ordering for the segregated path
-    m_block = BandedMatrix(nv, p, p, dtype=dtype)
-    gv = np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
-    rows = np.broadcast_to(gv[:, :, None], (t, p + 1, p + 1))
-    cols = np.broadcast_to(gv[:, None, :], (t, p + 1, p + 1))
-    m_block.add_at(rows.ravel(), cols.ravel(), np.broadcast_to(me, (t, p + 1, p + 1)).ravel())
-    gu = np.arange(t)[:, None] * p + np.arange(p)[None, :]
-    b_rows = np.broadcast_to(gv[:, :, None], (t, p + 1, p)).ravel()
-    b_cols = np.broadcast_to(gu[:, None, :], (t, p + 1, p)).ravel()
-    b_block = sp.csr_matrix(
-        (np.broadcast_to(be, (t, p + 1, p)).ravel(), (b_rows, b_cols)), shape=(nv, nu)
-    )
-    g_block = np.zeros(nv, dtype=dtype)
-    h_block = he.reshape(-1).copy()
-
-    # Dirichlet data is natural here: G_k = -(w_k, g n) on the Dirichlet ends
+    # Dirichlet data is natural here: G_k = -(w_k, g n) on the Dirichlet ends;
+    # Neumann data is essential on the v space: v = -h on that end
     for bc in (spec.bc_left, spec.bc_right):
-        v_idx = 0 if bc.side == "left" else nv - 1
+        v_pos = int(pos_v[0 if bc.side == "left" else -1])
         if bc.kind == "dirichlet":
-            contrib = -bc.value * bc.normal
-            rhs[pos_v[v_idx]] += contrib
-            g_block[v_idx] += contrib
+            rhs[v_pos] += -bc.value * bc.normal
         else:
-            # essential condition on the v space: v = -h on the Neumann end
-            value = -bc.value
-            eliminate_dirichlet(mat, rhs, int(pos_v[v_idx]), value)
-            # mirror in the block view: second-equation column purge first
-            # (with the pure saddle, C's column is B's row), then B-row zeroing
-            if pure_saddle:
-                c_col = np.asarray(b_block.getrow(v_idx).todense()).ravel()
-            else:
-                c_col = _c_column(ce, vcell, pos_u, v_idx, pos_v, nu)
-            h_block -= c_col * value
-            b_zero = b_block.tolil()
-            b_zero[v_idx, :] = 0.0
-            b_block = b_zero.tocsr()
-            eliminate_dirichlet(m_block, g_block, v_idx, value)
+            eliminate_dirichlet(mat, rhs, v_pos, -bc.value)
 
     if spec.complex_valued:
         mat, rhs = split_complex(mat, rhs)
-        blocks = None
-    else:
-        blocks = SaddleBlocks(
-            M=m_block,
-            B=b_block,
-            G=np.asarray(g_block, dtype=float),
-            H=np.asarray(h_block, dtype=float),
-            pure_saddle=pure_saddle,
-        )
-        rhs = np.asarray(rhs, dtype=float)
 
     return LinearSystem(
         matrix=mat,
@@ -458,20 +441,7 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
         spec=spec,
         complex_valued=spec.complex_valued,
         n_quad=n_quad,
-        blocks=blocks,
     )
-
-
-def _c_column(ce: np.ndarray, vcell: np.ndarray, pos_u: np.ndarray, v_idx: int, pos_v: np.ndarray, nu: int) -> np.ndarray:
-    """Column of the second-equation v-coupling block for one v unknown."""
-    t, p = pos_u.shape
-    col = np.zeros(nu, dtype=ce.dtype)
-    target = pos_v[v_idx]
-    for c in range(t):
-        hit = np.nonzero(vcell[c] == target)[0]
-        if hit.size:
-            col[c * p : (c + 1) * p] += ce[c, :, hit[0]]
-    return col
 
 
 # --- coefficient extraction ----------------------------------------------------
@@ -493,8 +463,8 @@ def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarra
     return z[vcell], z[mixed_u_positions(p, t)]
 
 
-def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0, norm_v: float = 1.0,
-                 in_place: bool = False) -> LinearSystem:
+def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
+                 norm_v: float = 1.0) -> LinearSystem:
     """Apply a magnitude-scaling scheme to an assembled system.
 
     'S' divides the standard right-hand side by ||u||; 'M2' does the same for
@@ -514,32 +484,12 @@ def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0, norm_v:
     if norm_u <= 0 or norm_v <= 0:
         raise ValueError("scaling factors must be positive")
 
-    out = system if in_place else replace(
-        system,
-        matrix=system.matrix.copy(),
-        rhs=system.rhs.copy(),
-        blocks=None if system.blocks is None else SaddleBlocks(
-            M=system.blocks.M.copy(),
-            B=system.blocks.B.copy(),
-            G=system.blocks.G.copy(),
-            H=system.blocks.H.copy(),
-            pure_saddle=system.blocks.pure_saddle,
-        ),
-    )
-
-    if scheme in ("S", "M2"):
-        out.rhs /= norm_u
-        if out.blocks is not None:
-            out.blocks.G /= norm_u
-            out.blocks.H /= norm_u
-    else:  # M1
-        ratio = norm_u / norm_v
-        _scale_mixed_u_columns(out.matrix, out.p, out.complex_valued, ratio)
+    out = replace(system, matrix=system.matrix.copy(), rhs=system.rhs.copy())
+    if scheme == "M1":
+        _scale_mixed_u_columns(out.matrix, out.p, out.complex_valued, norm_u / norm_v)
         out.rhs /= norm_v
-        if out.blocks is not None:
-            out.blocks.B = out.blocks.B * ratio
-            out.blocks.G /= norm_v
-            out.blocks.H /= norm_v
+    else:
+        out.rhs /= norm_u
     out.scaling = ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
     return out
 

@@ -243,18 +243,21 @@ def _solver_suite(
     return runs
 
 
-def _magnitude_suite(
-    out_dir: Optional[Path],
-    cpu: str,
-    case: int,
+def _swept_runs(
+    suite: str,
+    cases: Sequence[Tuple[ProblemSpec, str, str]],
     flavor: str,
     scheme: Optional[str],
     variables: Sequence[str],
     n_max: Optional[int],
     rise_streak: Optional[int],
+    out_dir: Optional[Path],
+    cpu: str,
 ) -> List[CalibrationRun]:
-    if case not in _COEFF_GRID:
-        raise ValueError(f"magnitude study covers cases 1..5, got {case}")
+    """One LU curve per (spec, token, label) case and variable, at the flavor's depth.
+
+    '{scheme}' in a token or label stands for the variable's scaling scheme.
+    """
     if flavor not in _MAGNITUDE_P:
         raise ValueError(f"unknown flavor {flavor!r}")
     p = _MAGNITUDE_P[flavor]
@@ -262,16 +265,13 @@ def _magnitude_suite(
     cap = n_max if n_max is not None else depth["n_max"]
     streak = rise_streak if rise_streak is not None else depth["rise_streak"]
     runs = []
-    for c in _COEFF_GRID[case]:
-        spec = catalog(f"case{case}", coefficient=float(c))
+    for spec, token, label in cases:
         for var in variables:
             var_scheme = scheme if scheme is not None else default_scheme(flavor, var)
             factors = exact_norm_factors(spec, var_scheme)
             runs.append(
                 _measured_run(
-                    "magnitude",
-                    f"magnitude-case{case}-c{c:.0e}-{var_scheme}",
-                    f"case{case} c={c:g} scheme={var_scheme}",
+                    suite, token.format(scheme=var_scheme), label.format(scheme=var_scheme),
                     spec, flavor, p, var, var_scheme, factors,
                     "lu", 1e-10, cap, streak, out_dir, cpu,
                 )
@@ -279,34 +279,19 @@ def _magnitude_suite(
     return runs
 
 
-def _boundary_suite(
-    out_dir: Optional[Path],
-    cpu: str,
-    flavor: str,
-    scheme: Optional[str],
-    variables: Sequence[str],
-    n_max: Optional[int],
-    rise_streak: Optional[int],
-) -> List[CalibrationRun]:
-    if flavor not in _MAGNITUDE_P:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    p = _MAGNITUDE_P[flavor]
-    depth = _SWEEP_DEPTH[flavor]
-    cap = n_max if n_max is not None else depth["n_max"]
-    streak = rise_streak if rise_streak is not None else depth["rise_streak"]
+def _magnitude_cases(case: int) -> List[Tuple[ProblemSpec, str, str]]:
+    if case not in _COEFF_GRID:
+        raise ValueError(f"magnitude study covers cases 1..5, got {case}")
+    return [
+        (catalog(f"case{case}", coefficient=float(c)),
+         f"magnitude-case{case}-c{c:.0e}-{{scheme}}", f"case{case} c={c:g} scheme={{scheme}}")
+        for c in _COEFF_GRID[case]
+    ]
+
+
+def _boundary_cases() -> List[Tuple[ProblemSpec, str, str]]:
     pairs = [("boundary-dd", catalog("bench-poisson")), ("boundary-dn", poisson_neumann_variant())]
-    runs = []
-    for token, spec in pairs:
-        for var in variables:
-            var_scheme = scheme if scheme is not None else default_scheme(flavor, var)
-            factors = exact_norm_factors(spec, var_scheme)
-            runs.append(
-                _measured_run(
-                    "boundary", token, spec.label, spec, flavor, p, var,
-                    var_scheme, factors, "lu", 1e-10, cap, streak, out_dir, cpu,
-                )
-            )
-    return runs
+    return [(spec, token, spec.label) for token, spec in pairs]
 
 
 def sensitivity_suite(
@@ -338,16 +323,10 @@ def sensitivity_suite(
         cap = n_max if n_max is not None else 20000
         streak = rise_streak if rise_streak is not None else 4
         runs = _solver_suite(directory, cpu, tolerances, used, cap, streak)
-    elif kind == "magnitude":
+    elif kind in ("magnitude", "boundary"):
+        cases = _magnitude_cases(case) if kind == "magnitude" else _boundary_cases()
         used = tuple(variables) if variables is not None else ("u", "ux", "uxx")
-        runs = _magnitude_suite(
-            directory, cpu, case, flavor, scheme, used, n_max, rise_streak
-        )
-    elif kind == "boundary":
-        used = tuple(variables) if variables is not None else ("u", "ux", "uxx")
-        runs = _boundary_suite(
-            directory, cpu, flavor, scheme, used, n_max, rise_streak
-        )
+        runs = _swept_runs(kind, cases, flavor, scheme, used, n_max, rise_streak, directory, cpu)
     else:
         raise ValueError(f"unknown suite kind {kind!r}")
     return CalibrationReport(suite=kind, cpu=cpu, runs=runs)

@@ -22,13 +22,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .assembly import assemble_mixed, assemble_standard
 from .calibration import sensitivity_suite
-from .error_analysis import apply_scaling, beta_R, beta_T, variable_available
-from .mesh_basis import build_mesh
-from .prediction import AlgorithmDefaults, PredictionResult, brute_force_sweep, prediction_loop
+from .error_analysis import beta_R, beta_T, variable_available
+from .prediction import (AlgorithmDefaults, PredictionResult, brute_force_sweep,
+                         prediction_loop, solve_level)
 from .problem import CATALOG_NAMES, VARIABLES, catalog
-from .solvers import solve_system
 
 _FLAVORS = ("standard", "mixed")
 _SCHEMES = ("auto", "none", "S", "M1", "M2")
@@ -346,19 +344,8 @@ def cmd_predict(config: RunConfig) -> int:
 def _timed_optimal_solve(spec, config: RunConfig, result: PredictionResult) -> float:
     """One solve on the predicted optimal mesh, timed; the PRED+ increment."""
     start = time.perf_counter()
-    mesh = build_mesh(result.N_opt_mesh_ref)
-    if result.flavor == "standard":
-        system = assemble_standard(spec, mesh, p=result.p)
-    else:
-        system = assemble_mixed(spec, mesh, p=result.p)
-    if result.scheme != "none":
-        system = apply_scaling(
-            result.scheme,
-            system,
-            norm_u=result.factors.get("norm_u", 1.0),
-            norm_v=result.factors.get("norm_v", 1.0),
-        )
-    solve_system(system, config.solver, tol_prm=config.tol_prm)
+    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref, result.scheme,
+                result.factors, config.solver, config.tol_prm)
     return time.perf_counter() - start
 
 

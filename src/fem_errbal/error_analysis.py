@@ -22,7 +22,6 @@ from .assembly import (
     LinearSystem,
     extract_mixed_coeffs,
     extract_standard_coeffs,
-    scale_system,
 )
 from .mesh_basis import LagrangeBasis, Mesh, basis_table, build_mesh, gauss_legendre_rule
 from .problem import VARIABLES, ProblemSpec, eval_exact
@@ -283,9 +282,3 @@ def convergence_order(e_coarse: float, e_fine: float) -> float:
     if e_coarse <= 0 or e_fine <= 0:
         raise ValueError("convergence order needs two positive error values")
     return float(np.log2(e_coarse / e_fine))
-
-
-def apply_scaling(scheme: str, system: LinearSystem, norm_u: float = 1.0,
-                  norm_v: float = 1.0) -> LinearSystem:
-    """Scheme-first wrapper around the assembly-level scaling transform."""
-    return scale_system(system, scheme, norm_u=norm_u, norm_v=norm_v)

@@ -21,17 +21,15 @@ ladder serves as the validation baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from .assembly import assemble_mixed, assemble_standard
+from .assembly import LinearSystem, assemble_mixed, assemble_standard, scale_system
 from .error_analysis import (
     DEFAULT_ALPHA_R,
     ErrorCurve,
-    ErrorRecord,
     FieldView,
-    apply_scaling,
     beta_R,
     beta_T,
     convergence_order,
@@ -44,7 +42,7 @@ from .error_analysis import (
 )
 from .mesh_basis import MAX_REFINEMENT, build_mesh
 from .problem import ProblemSpec, eval_exact
-from .solvers import solve_system
+from .solvers import SolveReport, solve_system
 
 
 @dataclass
@@ -127,13 +125,31 @@ class NormalizationResult:
     refinement_level: int
 
 
-def _assemble(spec: ProblemSpec, flavor: str, ref: int, p: int):
-    mesh = build_mesh(ref)
+def solve_level(
+    spec: ProblemSpec,
+    flavor: str,
+    p: int,
+    level: int,
+    scheme: str = "none",
+    factors: Optional[Dict[str, float]] = None,
+    solver: str = "lu",
+    tol_prm: float = 1e-10,
+) -> tuple[LinearSystem, SolveReport]:
+    """Assemble, scale and solve one level of the refinement ladder.
+
+    factors maps norm_u (and norm_v for M1) to the scaling factors; a missing
+    entry counts as 1.
+    """
+    mesh = build_mesh(level)
     if flavor == "standard":
-        return assemble_standard(spec, mesh, p=p)
-    if flavor == "mixed":
-        return assemble_mixed(spec, mesh, p=p)
-    raise ValueError(f"unknown flavor {flavor!r}")
+        system = assemble_standard(spec, mesh, p=p)
+    elif flavor == "mixed":
+        system = assemble_mixed(spec, mesh, p=p)
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    factors = factors or {}
+    system = scale_system(system, scheme, factors.get("norm_u", 1.0), factors.get("norm_v", 1.0))
+    return system, solve_system(system, solver, tol_prm=tol_prm)
 
 
 def normalization(
@@ -147,21 +163,23 @@ def normalization(
     """Estimate ||var||_2 from unscaled solves with the smallest degree in play.
 
     Refines until the norm changes by less than c_s relative between adjacent
-    levels; comparisons start only after the minimal refinement count.
+    levels; comparisons start only after the minimal refinement count.  Raises
+    NormalizationError at the DoF cap, or at once when the norm is NaN or inf.
     """
     defaults = defaults if defaults is not None else AlgorithmDefaults()
     if not variable_available(flavor, var, p_min):
         raise ValueError(f"{var} is not available for {flavor} degree {p_min}")
 
     def norm_at(ref: int) -> float:
-        system = _assemble(spec, flavor, ref, p_min)
-        report = solve_system(system, solver)
+        system, report = solve_level(spec, flavor, p_min, ref, solver=solver)
         return l2_norm(reconstruct(report, system, var))
 
     level = max(defaults.ref_min(p_min), 1)
     prev = norm_at(level - 1)
     cur = norm_at(level)
     while host_dof_count(flavor, var, p_min, 1 << level, spec.complex_valued) < defaults.n_max:
+        if not np.isfinite(cur):
+            break  # a NaN or inf norm never stabilizes
         if cur != 0.0 and abs((cur - prev) / cur) < defaults.c_s:
             return NormalizationResult(factor=cur, refinement_level=level)
         level += 1
@@ -214,7 +232,9 @@ class PredictionResult:
     p: int
     var: str
     scheme: str
-    status: str  # 'converged' | 'hit_N_max' | 'round-off_before_asymptote'
+    # 'converged' | 'hit_N_max' | 'round-off_before_asymptote' | 'non_finite'
+    # (an error estimate came out NaN or inf)
+    status: str
     refinements_used: int
     factors: Dict[str, float]
     N_c: Optional[int] = None
@@ -269,15 +289,7 @@ def prediction_loop(
 
     def field_at(level: int) -> FieldView:
         if level not in fields:
-            system = _assemble(spec, flavor, level, p)
-            if scheme != "none":
-                system = apply_scaling(
-                    scheme,
-                    system,
-                    norm_u=resolved.get("norm_u", 1.0),
-                    norm_v=resolved.get("norm_v", 1.0),
-                )
-            report = solve_system(system, solver, tol_prm=tol_prm)
+            system, report = solve_level(spec, flavor, p, level, scheme, resolved, solver, tol_prm)
             fields[level] = reconstruct(report, system, var)
         return fields[level]
 
@@ -297,6 +309,9 @@ def prediction_loop(
     while True:
         n_h = host_dof_count(flavor, var, p, 1 << level, spec.complex_valued)
         e_h = estimate(level)
+        if not np.isfinite(e_h):
+            status = "non_finite"
+            break
         if e_h < best_value:
             best_value, best_level, best_n = e_h, level, n_h
         if not e_h > alpha_r * n_h**beta_r:
@@ -391,25 +406,15 @@ def brute_force_sweep(
             factors = _resolve_factors(spec, flavor, scheme, p, defaults, None, solver)
     cap = n_max if n_max is not None else defaults.n_max
 
-    def field_at(level: int) -> FieldView:
-        system = _assemble(spec, flavor, level, p)
-        if scheme != "none":
-            system = apply_scaling(
-                scheme,
-                system,
-                norm_u=factors.get("norm_u", 1.0),
-                norm_v=factors.get("norm_v", 1.0),
-            )
-        report = solve_system(system, solver, tol_prm=tol_prm)
-        return reconstruct(report, system, var)
-
     curve = ErrorCurve()
     rises = 0
     use_exact = spec.has_exact
     prev_field = None
     level = 0
     while True:
-        fld = field_at(level)
+        system, report = solve_level(spec, flavor, p, level, scheme, factors, solver, tol_prm)
+        fld = reconstruct(report, system, var)
+        del system, report  # free this level's band before the next one is assembled
         record = None
         if use_exact:
             record = error_exact(fld, spec)

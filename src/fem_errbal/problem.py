@@ -73,13 +73,6 @@ def eval_exact(spec: ProblemSpec, var: str, x: np.ndarray) -> np.ndarray:
     return fn(np.asarray(x))
 
 
-def _const(value):
-    def fn(x):
-        return np.full_like(np.asarray(x, dtype=float), value, dtype=type(value))
-
-    return fn
-
-
 def _const_real(value: float):
     def fn(x):
         return np.full(np.shape(x), value, dtype=float)

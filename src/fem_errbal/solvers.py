@@ -8,7 +8,8 @@ iterative path is plain conjugate gradients with the stopping rule
 negative definite by construction, a probe of random Rayleigh quotients
 decides whether the system is negated before iterating.  Mixed saddle systems
 can alternatively be solved segregated: an outer CG on the Schur complement
-B^T M^{-1} B with a three-step matvec, then a mass solve recovers v.
+C M^{-1} B (C = B^T up to a positive factor) with a three-step matvec, then a
+mass solve recovers v.
 """
 
 from __future__ import annotations
@@ -218,14 +219,16 @@ def schur_solve(
 ) -> SolveReport:
     """Segregated solve of the real mixed saddle system.
 
-    Outer CG runs on B^T M^{-1} B U = B^T M^{-1} G - H with the three-step
-    matvec X = B W, M Y = X, Z = B^T Y; the gradient unknowns follow from
-    M V = G - B U.
+    Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
+    matvec X = B W, M Y = X, Z = C Y; the gradient unknowns follow from
+    M V = G - B U.  C is the second-equation block taken from the system, a
+    positive multiple of B^T in the pure saddle form, so the operator is
+    symmetric positive definite.
     """
     start = time.perf_counter()
-    if system.flavor != "mixed" or system.blocks is None:
-        raise ValueError("segregated solve needs the real mixed block system")
     blocks = system.blocks
+    if blocks is None:
+        raise ValueError("segregated solve needs the real mixed block system")
     if not blocks.pure_saddle:
         raise ValueError(
             "segregated solve requires the pure saddle form (constant unit "
@@ -244,11 +247,11 @@ def schur_solve(
             y, _, _ = _cg_core(m_mat.matvec, b, inner_tol, 10 * m_mat.n, stage="inner-cg")
             return y
 
-    b_mat = blocks.B
-    rhs_outer = b_mat.T @ m_solve(blocks.G) - blocks.H
+    b_mat, c_mat = blocks.B, blocks.C
+    rhs_outer = c_mat @ m_solve(blocks.G) - blocks.H
 
     def s_matvec(w):
-        return b_mat.T @ m_solve(b_mat @ w)
+        return c_mat @ m_solve(b_mat @ w)
 
     max_iter = max_iter if max_iter is not None else 10 * len(rhs_outer)
     u, iters, res = _cg_core(s_matvec, rhs_outer, outer_tol, max_iter, stage="outer-cg")

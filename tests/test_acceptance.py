@@ -12,11 +12,10 @@ import time
 
 import numpy as np
 
-from fem_errbal.assembly import assemble_mixed, assemble_standard
+from fem_errbal.assembly import assemble_mixed, assemble_standard, scale_system
 from fem_errbal.calibration import fit_floor
 from fem_errbal.error_analysis import (
     DEFAULT_ALPHA_R,
-    apply_scaling,
     beta_R,
     beta_T,
     host_dof_count,
@@ -266,9 +265,9 @@ def _timed_prediction_plus(spec, flavor, p, var, defaults, target_ref):
         system = assemble_standard(spec, mesh, p=p)
     else:
         system = assemble_mixed(spec, mesh, p=p)
-    system = apply_scaling(
-        result.scheme,
+    system = scale_system(
         system,
+        result.scheme,
         norm_u=result.factors.get("norm_u", 1.0),
         norm_v=result.factors.get("norm_v", 1.0),
     )

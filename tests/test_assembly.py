@@ -19,6 +19,7 @@ from fem_errbal.assembly import (
     split_complex,
     standard_dof_count,
 )
+from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
 
@@ -209,6 +210,30 @@ class TestMixedAssembly:
             lhs = np.dot(b @ q, w)
             rhs = np.dot(q, b.T @ w)
             assert abs(lhs - rhs) <= 1e-13 * scale * np.linalg.norm(q) * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("spec", [catalog("bench-diffusion"), poisson_neumann_variant()])
+    def test_blocks_are_slices_of_the_band(self, spec):
+        system = assemble_mixed(spec, build_mesh(3), 3)
+        a = system.matrix.to_dense()
+        v = mixed_v_positions(3, 8)
+        u = mixed_u_positions(3, 8).ravel()
+        blocks = system.blocks
+        np.testing.assert_array_equal(blocks.M.to_dense(), a[np.ix_(v, v)])
+        np.testing.assert_array_equal(blocks.B.toarray(), a[np.ix_(v, u)])
+        np.testing.assert_array_equal(blocks.C.toarray(), a[np.ix_(u, v)])
+        np.testing.assert_array_equal(blocks.G, system.rhs[v])
+        np.testing.assert_array_equal(blocks.H, system.rhs[u])
+
+    def test_m1_blocks_carry_the_scaled_gradient_block(self):
+        system = assemble_mixed(catalog("bench-poisson"), build_mesh(4), 3)
+        scaled = scale_system(system, "M1", norm_u=0.9, norm_v=3.7)
+        v = mixed_v_positions(3, 16)
+        u = mixed_u_positions(3, 16).ravel()
+        a = scaled.matrix.to_dense()
+        blocks = scaled.blocks
+        np.testing.assert_array_equal(blocks.B.toarray(), a[np.ix_(v, u)])
+        np.testing.assert_array_equal(blocks.C.toarray(), system.blocks.C.toarray())
+        assert blocks.pure_saddle
 
     def test_pure_saddle_flag(self):
         assert assemble_mixed(catalog("bench-poisson"), build_mesh(2), 2).blocks.pure_saddle

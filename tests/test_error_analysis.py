@@ -9,13 +9,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fem_errbal.assembly import assemble_mixed, assemble_standard, extract_mixed_coeffs
+from fem_errbal.assembly import (
+    assemble_mixed,
+    assemble_standard,
+    extract_mixed_coeffs,
+    scale_system,
+)
 from fem_errbal.error_analysis import (
     DEFAULT_ALPHA_R,
     ErrorCurve,
     ErrorRecord,
     FieldView,
-    apply_scaling,
     beta_R,
     beta_T,
     convergence_order,
@@ -259,7 +263,7 @@ class TestScaling:
         mesh = build_mesh(5)
         plain = assemble_standard(spec, mesh, p=2)
         norm_u = l2_norm(lambda x: eval_exact(spec, "u", x))
-        scaled = apply_scaling("S", plain, norm_u=norm_u)
+        scaled = scale_system(plain, "S", norm_u=norm_u)
         u_plain = reconstruct(lu_banded_solve(plain), plain, "u")
         u_scaled = reconstruct(lu_banded_solve(scaled), scaled, "u")
         assert u_scaled.scale_factor == norm_u
@@ -272,7 +276,7 @@ class TestScaling:
         mesh = build_mesh(5)
         plain = assemble_standard(spec, mesh, p=2)
         norm_u = 0.71
-        scaled = apply_scaling("S", plain, norm_u=norm_u)
+        scaled = scale_system(plain, "S", norm_u=norm_u)
         e_plain = error_exact(reconstruct(lu_banded_solve(plain), plain, "u"), spec).value
         e_scaled = error_exact(reconstruct(lu_banded_solve(scaled), scaled, "u"), spec).value
         assert abs(e_scaled - e_plain / norm_u) <= 1e-3 * e_scaled

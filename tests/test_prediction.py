@@ -5,10 +5,14 @@ on catalog problems where the error model says what must happen (immediate
 round-off on a linear exact solution, a clean anchor for smooth problems, the
 DoF cap when the rate gate is made unreachable)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fem_errbal.assembly import assemble_mixed, scale_system
 from fem_errbal.error_analysis import host_dof_count
+from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.prediction import (
     AlgorithmDefaults,
     ErrorModel,
@@ -20,8 +24,16 @@ from fem_errbal.prediction import (
     normalization,
     predict_opt,
     prediction_loop,
+    solve_level,
 )
 from fem_errbal.problem import catalog
+from fem_errbal.solvers import lu_banded_solve
+
+
+def _nan_load():
+    return dataclasses.replace(
+        catalog("bench-poisson"), f=lambda x: np.full(np.shape(x), np.nan)
+    )
 
 
 class StubbornDefaults(AlgorithmDefaults):
@@ -193,6 +205,12 @@ class TestNormalization:
         assert err.value.refinement_level == 8
         assert err.value.last_norm > 0
 
+    def test_non_finite_norm_raises_at_once(self):
+        with pytest.raises(NormalizationError) as err:
+            normalization(_nan_load(), "standard", "u", 1)
+        assert err.value.refinement_level == 8
+        assert np.isnan(err.value.last_norm)
+
 
 class TestSchemeSelection:
     def test_default_mapping(self):
@@ -284,11 +302,36 @@ class TestPredictionLoop:
         assert res_2.factors["norm_v"] > 0
         assert res_2.factors["norm_v"] != 1.0
 
+    def test_nan_load_reports_non_finite(self):
+        res = prediction_loop(_nan_load(), "standard", 2, "u", factors={"norm_u": 1.0})
+        assert res.status == "non_finite"
+        assert res.model is None
+        assert res.refinements_used == 8  # stops at the first estimate
+
     def test_unscaled_scheme_has_no_factors(self):
         res = prediction_loop(
             catalog("case5", coefficient=1.0), "standard", 1, "u", scheme="none"
         )
         assert res.factors == {}
+
+
+class TestSolveLevel:
+    def test_matches_the_pipeline_spelled_out(self):
+        spec = catalog("bench-poisson")
+        factors = {"norm_u": 0.9, "norm_v": 3.7}
+        system, report = solve_level(spec, "mixed", 3, 4, "M1", factors)
+        assert system.scaling.scheme == "M1" and system.mesh.refinement_level == 4
+        manual = scale_system(assemble_mixed(spec, build_mesh(4), 3), "M1", **factors)
+        np.testing.assert_array_equal(report.x, lu_banded_solve(manual).x)
+
+    def test_unscaled_by_default(self):
+        system, report = solve_level(catalog("bench-poisson"), "standard", 2, 3)
+        assert system.scaling.scheme == "none"
+        assert report.method == "lu" and report.x.shape == (system.n_unknowns,)
+
+    def test_unknown_flavor_rejected(self):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            solve_level(catalog("bench-poisson"), "spectral", 2, 3)
 
 
 class TestBruteForceSweep:

@@ -11,6 +11,7 @@ from fem_errbal.assembly import (
     BandedMatrix,
     assemble_mixed,
     assemble_standard,
+    scale_system,
 )
 from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.problem import catalog
@@ -132,9 +133,7 @@ class TestConjugateGradients:
         a[idx[:-1], idx[:-1] + 1] = -1.0
         a[idx[:-1] + 1, idx[:-1]] = -1.0
         base = assemble_standard(catalog("bench-poisson"), build_mesh(2), p=1)
-        system = dataclasses.replace(
-            base, matrix=_banded_from_dense(a, 1, 1), rhs=np.ones(n), blocks=None
-        )
+        system = dataclasses.replace(base, matrix=_banded_from_dense(a, 1, 1), rhs=np.ones(n))
         report = cg_solve(system, tol_prm=1e-13)
         dense = np.linalg.solve(a, np.ones(n))
         assert np.linalg.norm(report.x - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -175,6 +174,16 @@ class TestSchur:
         )
         system = assemble_mixed(spec, build_mesh(4), p=3)
         assert system.blocks is not None and system.blocks.pure_saddle
+        direct = lu_banded_solve(system)
+        seg = schur_solve(system, outer_tol=1e-13)
+        rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
+        assert rel <= 1e-9
+
+    def test_matches_monolithic_under_m1_scaling(self):
+        # M1 scales B by norm_u/norm_v and leaves the second-equation block alone
+        spec = catalog("bench-poisson")
+        system = scale_system(assemble_mixed(spec, build_mesh(4), 3), "M1", norm_u=0.9, norm_v=3.7)
+        assert system.blocks.pure_saddle
         direct = lu_banded_solve(system)
         seg = schur_solve(system, outer_tol=1e-13)
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
