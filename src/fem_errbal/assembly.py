@@ -1,9 +1,12 @@
 """Discrete linear systems for the standard and mixed formulations.
 
-Matrices live in LAPACK-compatible band storage.  Complex-coefficient problems
-are assembled in complex arithmetic, boundary conditions are imposed, and the
-system is then split into a real system of twice the size with interleaved
-(Re, Im) unknowns: each entry a+bi becomes the 2x2 block [[a, -b], [b, a]].
+Matrices live in LAPACK-compatible band storage, and this module alone
+indexes it: the solvers go through `BandedMatrix.matvec`, `constrained_rows`
+and `LinearSystem.blocks`, and the banded LU hands the array to LAPACK as it
+is.  Complex-coefficient problems are assembled in complex arithmetic,
+boundary conditions are imposed, and the system is then split into a real
+system of twice the size with interleaved (Re, Im) unknowns: each entry a+bi
+becomes the 2x2 block [[a, -b], [b, a]].
 
 Weak statements, with n the outward normal and (.,.) the L2 pairing:
 
@@ -55,21 +58,6 @@ class BandedMatrix:
     def dtype(self):
         return self.ab.dtype
 
-    def in_band(self, i: int, j: int) -> bool:
-        return -self.ku <= i - j <= self.kl
-
-    def get(self, i: int, j: int):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError("index out of range")
-        if not self.in_band(i, j):
-            return self.ab.dtype.type(0)
-        return self.ab[self.kl + self.ku + i - j, j]
-
-    def set(self, i: int, j: int, value) -> None:
-        if not self.in_band(i, j):
-            raise IndexError(f"entry ({i}, {j}) outside the band")
-        self.ab[self.kl + self.ku + i - j, j] = value
-
     def add_at(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add; duplicate (row, col) pairs accumulate."""
         np.add.at(self.ab, (self.kl + self.ku + rows - cols, cols), values)
@@ -84,28 +72,10 @@ class BandedMatrix:
                 y[lo - d : hi - d] += self.ab[r0 - d, lo:hi] * x[lo:hi]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=self.dtype)
-        r0 = self.kl + self.ku
-        for d in range(-self.kl, self.ku + 1):
-            lo = max(0, d)
-            hi = self.n + min(0, d)
-            if hi > lo:
-                js = np.arange(lo, hi)
-                a[js - d, js] = self.ab[r0 - d, lo:hi]
-        return a
-
     def copy(self) -> "BandedMatrix":
         out = BandedMatrix(self.n, self.kl, self.ku, dtype=self.dtype)
         out.ab[...] = self.ab
         return out
-
-    def row_indices(self, i: int) -> np.ndarray:
-        """Column indices of row i that lie inside the band."""
-        return np.arange(max(0, i - self.kl), min(self.n, i + self.ku + 1))
-
-    def col_indices(self, j: int) -> np.ndarray:
-        return np.arange(max(0, j - self.ku), min(self.n, j + self.kl + 1))
 
 
 def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -> None:
@@ -115,42 +85,47 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
     column, which keeps a symmetric matrix symmetric.
     """
     r0 = mat.kl + mat.ku
-    rows = mat.col_indices(index)
-    col_vals = mat.ab[r0 + rows - index, index]
-    rhs[rows] -= col_vals * value
+    rows = np.arange(max(0, index - mat.ku), min(mat.n, index + mat.kl + 1))
+    rhs[rows] -= mat.ab[r0 + rows - index, index] * value
     mat.ab[r0 + rows - index, index] = 0.0
-    cols = mat.row_indices(index)
+    cols = np.arange(max(0, index - mat.kl), min(mat.n, index + mat.ku + 1))
     mat.ab[r0 + index - cols, cols] = 0.0
     mat.ab[r0, index] = 1.0
     rhs[index] = value
+
+
+def constrained_rows(mat: BandedMatrix) -> np.ndarray:
+    """Rows turned into identities by strong boundary elimination.
+
+    Such a row has a unit diagonal and no other entry in its row or column.
+    The summed terms are absolute values, so the zero test does not depend
+    on the order of summation.
+    """
+    r0 = mat.kl + mat.ku
+    diag_one = mat.ab[r0] == 1.0
+    if not np.any(diag_one):
+        return diag_one
+    off = np.abs(mat.ab)
+    off[r0] = 0.0
+    rows = np.arange(mat.n) + (np.arange(off.shape[0]) - r0)[:, None]  # row of each entry
+    inside = (rows >= 0) & (rows < mat.n)
+    row_sums = np.bincount(rows[inside], weights=off[inside], minlength=mat.n)
+    return diag_one & (row_sums + off.sum(axis=0) == 0.0)
 
 
 def split_complex(mat: BandedMatrix, rhs: np.ndarray) -> tuple[BandedMatrix, np.ndarray]:
     """Real 2n-order image of a complex system with interleaved (Re, Im) rows."""
     if not np.iscomplexobj(mat.ab):
         raise ValueError("split_complex expects a complex matrix")
-    n, kl, ku = mat.n, mat.kl, mat.ku
-    out = BandedMatrix(2 * n, 2 * kl + 1, 2 * ku + 1)
-    r0 = kl + ku
-    s0 = out.kl + out.ku
-    for d in range(-kl, ku + 1):
-        lo = max(0, d)
-        hi = n + min(0, d)
-        if hi <= lo:
-            continue
-        js = np.arange(lo, hi)
-        vals = mat.ab[r0 - d, lo:hi]
-        a, b = vals.real, vals.imag
-        i2 = 2 * (js - d)
-        j2 = 2 * js
-        out.ab[s0 + i2 - j2, j2] = a
-        out.ab[s0 + i2 - (j2 + 1), j2 + 1] = -b
-        out.ab[s0 + (i2 + 1) - j2, j2] = b
-        out.ab[s0 + (i2 + 1) - (j2 + 1), j2 + 1] = a
-    rhs2 = np.empty(2 * n)
-    rhs2[0::2] = rhs.real
-    rhs2[1::2] = rhs.imag
-    return out, rhs2
+    out = BandedMatrix(2 * mat.n, 2 * mat.kl + 1, 2 * mat.ku + 1)
+    # stored row k holds the diagonal i - j = k - kl - ku and feeds real rows
+    # 2k+1..2k+3; the workspace rows k < kl are skipped
+    band, k0 = mat.ab[mat.kl :], 2 * mat.kl
+    out.ab[k0 + 2 :: 2, 0::2] = band.real       # (2i, 2j)
+    out.ab[k0 + 3 :: 2, 0::2] = band.imag       # (2i+1, 2j)
+    out.ab[k0 + 1 : -1 : 2, 1::2] = -band.imag  # (2i, 2j+1)
+    out.ab[k0 + 2 :: 2, 1::2] = band.real       # (2i+1, 2j+1)
+    return out, np.stack((rhs.real, rhs.imag), axis=1).ravel()
 
 
 def recombine_split(x: np.ndarray) -> np.ndarray:
@@ -159,14 +134,9 @@ def recombine_split(x: np.ndarray) -> np.ndarray:
 
 # --- degree-of-freedom layouts -------------------------------------------------
 
-def standard_dof_count(p: int, t: int, complex_valued: bool) -> int:
-    n = p * t + 1
-    return 2 * n if complex_valued else n
-
-
-def mixed_dof_count(p: int, t: int, complex_valued: bool) -> int:
-    n = 2 * p * t + 1
-    return 2 * n if complex_valued else n
+def _cell_dofs(p: int, t: int) -> np.ndarray:
+    """Indices of each cell's p+1 continuous unknowns, shape (t, p+1)."""
+    return np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
 
 
 def mixed_v_positions(p: int, t: int) -> np.ndarray:
@@ -186,7 +156,6 @@ def mixed_u_positions(p: int, t: int) -> np.ndarray:
 
 
 def mixed_is_u_position(q: np.ndarray, p: int) -> np.ndarray:
-    q = np.asarray(q)
     return (q > 0) & (((q - 1) % (2 * p)) < p)
 
 
@@ -249,7 +218,7 @@ class LinearSystem:
         p, t, mat = self.p, self.mesh.cell_count, self.matrix
         pos_v, pos_u = mixed_v_positions(p, t), mixed_u_positions(p, t).ravel()
         nv, nu = pos_v.size, pos_u.size
-        gv = np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]  # v indices per cell
+        gv = _cell_dofs(p, t)
         gu = np.arange(nu).reshape(t, p)
 
         def entries(rows, cols):
@@ -272,9 +241,6 @@ class LinearSystem:
         )
         return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
                             H=self.rhs[pos_u], pure_saddle=pure_saddle)
-
-    def scale_factor(self, var: str) -> float:
-        return self.scaling.factor_for(var)
 
 
 def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple, b: tuple) -> np.ndarray:
@@ -322,7 +288,7 @@ def assemble_standard(
     fe = h * np.einsum("cq,qi->ci", quad.weights[None, :] * np.asarray(spec.f(x_q), dtype=dtype),
                        basis_table(p, True, n_quad, 0))
 
-    gdof = np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]  # (t, p+1)
+    gdof = _cell_dofs(p, t)
     mat = BandedMatrix(m, p, p, dtype=dtype)
     rows = np.broadcast_to(gdof[:, :, None], ke.shape)
     cols = np.broadcast_to(gdof[:, None, :], ke.shape)
@@ -346,7 +312,7 @@ def assemble_standard(
         dvals = LagrangeBasis(p).eval(np.array([x0]), 1)[0] / h
         mat.add_at(np.full(p + 1, bdof), cell_dofs, n * d_here * dvals)
         mat.add_at(cell_dofs, np.full(p + 1, bdof), -n * dvals)
-        mat.ab[mat.kl + mat.ku, bdof] += n * penalty
+        mat.add_at(np.array([bdof]), np.array([bdof]), np.array([n * penalty]))
         rhs[cell_dofs] += -n * bc.value * dvals
         rhs[bdof] += n * penalty * bc.value
 
@@ -397,7 +363,7 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
 
     pos_v = mixed_v_positions(p, t)
     pos_u = mixed_u_positions(p, t)
-    vcell = pos_v[np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]]  # (t, p+1)
+    vcell = pos_v[_cell_dofs(p, t)]
 
     mat = BandedMatrix(total, 2 * p, 2 * p, dtype=dtype)
     rhs = np.zeros(total, dtype=dtype)
@@ -450,17 +416,14 @@ def extract_standard_coeffs(x: np.ndarray, system: LinearSystem) -> np.ndarray:
     """Per-cell nodal coefficients of the standard solution, shape (t, p+1)."""
     p, t = system.p, system.mesh.cell_count
     z = recombine_split(x) if system.complex_valued else x
-    idx = np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
-    return z[idx]
+    return z[_cell_dofs(p, t)]
 
 
 def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (v, u) coefficients of the mixed solution: (t, p+1) and (t, p)."""
     p, t = system.p, system.mesh.cell_count
     z = recombine_split(x) if system.complex_valued else x
-    pos_v = mixed_v_positions(p, t)
-    vcell = pos_v[np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]]
-    return z[vcell], z[mixed_u_positions(p, t)]
+    return z[mixed_v_positions(p, t)[_cell_dofs(p, t)]], z[mixed_u_positions(p, t)]
 
 
 def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
@@ -486,25 +449,12 @@ def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
 
     out = replace(system, matrix=system.matrix.copy(), rhs=system.rhs.copy())
     if scheme == "M1":
-        _scale_mixed_u_columns(out.matrix, out.p, out.complex_valued, norm_u / norm_v)
+        # a split system interleaves (Re, Im) of each unknown
+        unknown = np.arange(out.n_unknowns) // (2 if out.complex_valued else 1)
+        out.matrix.ab[:, mixed_is_u_position(unknown, out.p)] *= norm_u / norm_v
         out.rhs /= norm_v
     else:
         out.rhs /= norm_u
     out.scaling = ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
     return out
 
-
-def _scale_mixed_u_columns(mat: BandedMatrix, p: int, is_split: bool, ratio: float) -> None:
-    """Multiply every stored entry whose column is a u unknown by `ratio`."""
-    r0 = mat.kl + mat.ku
-    n = mat.n
-    for d in range(-mat.kl, mat.ku + 1):
-        lo = max(0, d)
-        hi = n + min(0, d)
-        if hi <= lo:
-            continue
-        js = np.arange(lo, hi)
-        cols = js // 2 if is_split else js
-        mask = mixed_is_u_position(cols, p)
-        if np.any(mask):
-            mat.ab[r0 - d, lo:hi][mask] *= ratio

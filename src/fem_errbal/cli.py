@@ -153,7 +153,6 @@ class RunConfig:
     case: int = 1
     tolerances: Tuple[float, ...] = (1e-10, 1e-4)
     json_path: Optional[str] = None
-    deterministic: bool = True
 
 
 # per-subcommand option tables: dest -> (converter, fallback); converters see

@@ -7,14 +7,14 @@ refinement ladders.  For mixed systems the derivative fields come from the
 gradient unknown, u_x = -v and u_xx = -v_x.  When a magnitude scaling scheme
 was applied, solved coefficients are the scaled unknowns; errors are measured
 in the scaled frame (exact values divided by the variable's factor) so the
-round-off floor offsets stay magnitude-independent, and rescaled() gives the
-physical-frame view back.
+round-off floor offsets stay magnitude-independent; multiplying a view's
+values by its scale_factor gives the physical frame back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
@@ -59,12 +59,6 @@ def beta_R(flavor: str) -> int:
     if flavor not in ("standard", "mixed"):
         raise ValueError(f"unknown flavor {flavor!r}")
     return 2 if flavor == "standard" else 1
-
-
-def default_alpha_R(var: str) -> float:
-    if var not in DEFAULT_ALPHA_R:
-        raise ValueError(f"unknown variable {var!r}")
-    return DEFAULT_ALPHA_R[var]
 
 
 def host_dof_count(flavor: str, var: str, p: int, cell_count: int, complex_valued: bool) -> int:
@@ -129,10 +123,6 @@ class FieldView:
                             child)
         return (self.coeffs @ table.T) / self.mesh.h**self.deriv_order
 
-    def rescaled(self) -> "FieldView":
-        """Physical-frame view: coefficients multiplied back by the scale factor."""
-        return replace(self, coeffs=self.coeffs * self.scale_factor, scale_factor=1.0)
-
 
 def reconstruct(solution, system: LinearSystem, var: str) -> FieldView:
     """Build the evaluator for one variable from a solve of the given system."""
@@ -163,7 +153,7 @@ def reconstruct(solution, system: LinearSystem, var: str) -> FieldView:
         coeffs=coeffs,
         deriv_order=order,
         fem_degree=p,
-        scale_factor=system.scale_factor(var),
+        scale_factor=system.scaling.factor_for(var),
     )
 
 

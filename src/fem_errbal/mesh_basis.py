@@ -57,15 +57,8 @@ class Mesh:
 
     @property
     def h(self) -> float:
-        # exact dyadic, so vertex coordinates below are exact as well
+        # exact dyadic, so vertex coordinates k * h are exact as well
         return 2.0 ** (-self.refinement_level)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return np.arange(self.cell_count + 1) * self.h
-
-    def refine(self) -> "Mesh":
-        return build_mesh(self.refinement_level + 1)
 
 
 def build_mesh(refinement_level: int) -> Mesh:
@@ -169,10 +162,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre_rule(n_q: int) -> QuadratureRule:
@@ -229,7 +218,7 @@ def _monomial_coeffs(degree: int, continuous: bool, order: int) -> tuple[tuple[D
 
 
 def _evaluate(degree: int, continuous: bool, x: np.ndarray, order: int) -> np.ndarray:
-    """Order-th derivatives of every basis function at the double points x, shape (len(x), n_dofs)."""
+    """Order-th derivatives of the basis at the double points x, shape (len(x), degree + 1)."""
     polys = _monomial_coeffs(degree, continuous, order)
     points = [Decimal(float(v)) for v in x]
     out = np.empty((len(points), len(polys)))
@@ -267,7 +256,7 @@ def reference_integral(a: tuple[int, bool, int], b: tuple[int, bool, int]) -> np
     """Exact integrals over [0, 1] of a_i * b_j, each rounded once.
 
     `a` and `b` name a basis and a derivative of it as (degree, continuous,
-    order); the result has shape (a's n_dofs, b's n_dofs) and is read-only.
+    order); the result has shape (a's degree + 1, b's degree + 1) and is read-only.
     """
     pa = _monomial_coeffs(*a)
     pb = _monomial_coeffs(*b)
@@ -295,22 +284,11 @@ class LagrangeBasis:
         self.degree = degree
         self.continuous = continuous
 
-    @property
-    def n_dofs(self) -> int:
-        return self.degree + 1
-
     def eval(self, x: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate all basis functions (or their order-th derivatives) at x in [0, 1].
 
-        Returns an array of shape (len(x), n_dofs), each entry rounded once.
+        Returns an array of shape (len(x), degree + 1), each entry rounded once.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return _evaluate(self.degree, self.continuous, x, order)
 
-
-def eval_basis(basis: LagrangeBasis, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of every basis function at reference points x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ValueError("evaluation points must lie in the reference cell [0, 1]")
-    return basis.eval(x, 0), basis.eval(x, 1)

@@ -392,7 +392,8 @@ def brute_force_sweep(
     many consecutive error increases, which marks the round-off branch well
     past the minimum.  rise_streak=None always walks to the cap, giving every
     curve the same window; floors are noisy enough that a dip can reset the
-    streak, so cap-bound runs are the reproducible choice.
+    streak, so cap-bound runs are the reproducible choice.  A NaN or inf error
+    value raises RuntimeError at once.
     """
     defaults = defaults if defaults is not None else AlgorithmDefaults()
     if not variable_available(flavor, var, p):
@@ -421,6 +422,8 @@ def brute_force_sweep(
         elif prev_field is not None:
             record = error_refined(prev_field, fld)
         if record is not None:
+            if not np.isfinite(record.value):
+                raise RuntimeError(f"error estimate is {record.value} at refinement level {level}")
             if len(curve) and curve[-1].value > 0 and record.value > 0:
                 record.observed_rate = convergence_order(curve[-1].value, record.value)
             if len(curve) and record.value > curve[-1].value:

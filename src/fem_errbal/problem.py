@@ -60,9 +60,6 @@ class ProblemSpec:
     def has_exact(self) -> bool:
         return self.exact_u is not None
 
-    def bc(self, side: str) -> BoundaryCondition:
-        return self.bc_left if side == "left" else self.bc_right
-
 
 def eval_exact(spec: ProblemSpec, var: str, x: np.ndarray) -> np.ndarray:
     if var not in VARIABLES:

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .assembly import BandedMatrix, LinearSystem, mixed_u_positions, mixed_v_positions
+from .assembly import (
+    BandedMatrix,
+    LinearSystem,
+    constrained_rows,
+    mixed_u_positions,
+    mixed_v_positions,
+)
 
 _PROBE_COUNT = 20
 _PROBE_SEED = 2024
@@ -74,46 +80,6 @@ class BandedLU:
             raise ValueError(f"band back-substitution failed with code {info}")
         return np.ascontiguousarray(x[:, 0])
 
-    def factors_dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (L, U, ipiv) for verification on small systems."""
-        n, kl, ku = self.n, self.kl, self.ku
-        upper = np.zeros((n, n))
-        lower = np.eye(n)
-        r0 = kl + ku
-        for j in range(n):
-            i_lo = max(0, j - (kl + ku))
-            for i in range(i_lo, j + 1):
-                upper[i, j] = self._lu[r0 + i - j, j]
-            for i in range(j + 1, min(n, j + kl + 1)):
-                lower[i, j] = self._lu[r0 + i - j, j]
-        return lower, upper, np.asarray(self._ipiv)
-
-    def reconstruct_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Undo elimination and row interchanges on selected columns of U.
-
-        Row operations act on each column independently, so reconstructing a
-        sample of columns of A costs O(n (kl + k)) rather than dense n^2.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        n, kl, ku = self.n, self.kl, self.ku
-        r0 = kl + ku
-        m = np.zeros((n, cols.size))
-        for k, j in enumerate(cols):
-            i_lo = max(0, j - r0)
-            m[i_lo : j + 1, k] = self._lu[r0 + i_lo - j : r0 + 1, j]
-        for j in range(n - 1, -1, -1):
-            hi = min(n, j + kl + 1)
-            if hi > j + 1:
-                lcol = self._lu[r0 + 1 : r0 + 1 + (hi - j - 1), j]
-                m[j + 1 : hi, :] += np.outer(lcol, m[j, :])
-            pj = self._ipiv[j]  # scipy's wrapper hands back zero-based pivots
-            if pj != j:
-                m[[j, pj], :] = m[[pj, j], :]
-        return m
-
-    def reconstruct_dense(self) -> np.ndarray:
-        return self.reconstruct_columns(np.arange(self.n))
-
 
 def lu_banded_solve(system: LinearSystem) -> SolveReport:
     start = time.perf_counter()
@@ -123,24 +89,6 @@ def lu_banded_solve(system: LinearSystem) -> SolveReport:
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(system.rhs - system.matrix.matvec(x)) / rhs_norm if rhs_norm else 0.0
     return SolveReport(x=x, method="lu", iterations=0, rel_residual=float(res), wall_time=elapsed)
-
-
-def _constrained_rows(mat: BandedMatrix) -> np.ndarray:
-    """Rows turned into identities by strong boundary elimination."""
-    r0 = mat.kl + mat.ku
-    diag_one = mat.ab[r0, :] == 1.0
-    if not np.any(diag_one):
-        return np.zeros(mat.n, dtype=bool)
-    off = np.zeros(mat.n)
-    for d in range(-mat.kl, mat.ku + 1):
-        if d == 0:
-            continue
-        lo, hi = max(0, d), mat.n + min(0, d)
-        if hi > lo:
-            contrib = np.abs(mat.ab[r0 - d, lo:hi])
-            off[lo - d : hi - d] += contrib  # row sums
-            off[lo:hi] += contrib            # column sums
-    return diag_one & (off == 0.0)
 
 
 def _definiteness_sign(mat: BandedMatrix, active: np.ndarray) -> float:
@@ -193,7 +141,7 @@ def cg_solve(system: LinearSystem, tol_prm: float, max_iter: int | None = None) 
     """
     start = time.perf_counter()
     mat, rhs = system.matrix, system.rhs
-    constrained = _constrained_rows(mat)
+    constrained = constrained_rows(mat)
     active = ~constrained
     sign = _definiteness_sign(mat, active)
     x0 = np.zeros(mat.n)
@@ -267,13 +215,12 @@ def schur_solve(
     )
 
 
-def solve_system(system: LinearSystem, solver: str = "lu", tol_prm: float = 1e-10,
-                 inner: str = "direct") -> SolveReport:
+def solve_system(system: LinearSystem, solver: str = "lu", tol_prm: float = 1e-10) -> SolveReport:
     """Dispatch to the named solver; drivers go through this single entry."""
     if solver == "lu":
         return lu_banded_solve(system)
     if solver == "cg":
         return cg_solve(system, tol_prm)
     if solver == "schur":
-        return schur_solve(system, outer_tol=tol_prm, inner=inner)
+        return schur_solve(system, outer_tol=tol_prm)
     raise ValueError(f"unknown solver {solver!r}; expected lu, cg, or schur")

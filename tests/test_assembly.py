@@ -7,21 +7,22 @@ from fem_errbal.assembly import (
     BandedMatrix,
     assemble_mixed,
     assemble_standard,
+    constrained_rows,
     eliminate_dirichlet,
     extract_mixed_coeffs,
     extract_standard_coeffs,
-    mixed_dof_count,
     mixed_is_u_position,
     mixed_u_positions,
     mixed_v_positions,
     recombine_split,
     scale_system,
     split_complex,
-    standard_dof_count,
 )
 from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
+
+from banded import from_dense, to_dense
 
 
 def _zero(x):
@@ -44,49 +45,49 @@ _NEUMANN_BOTH = ProblemSpec(
 
 
 class TestBandedMatrix:
-    def test_set_get_roundtrip(self):
+    def test_add_at_accumulates_in_band_slot(self):
         m = BandedMatrix(5, 1, 2)
-        m.set(2, 3, 7.0)
-        assert m.get(2, 3) == 7.0
-        assert m.get(4, 0) == 0.0  # outside band reads as zero
-        with pytest.raises(IndexError):
-            m.set(4, 0, 1.0)
+        m.add_at(np.array([2, 2, 3]), np.array([3, 3, 2]), np.array([7.0, 0.5, -1.0]))
+        assert m.ab[1 + 2 + 2 - 3, 3] == 7.5  # A[i, j] sits at ab[kl + ku + i - j, j]
+        assert m.ab[1 + 2 + 3 - 2, 2] == -1.0
+        assert np.count_nonzero(m.ab) == 2
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
-        m = BandedMatrix(9, 2, 3)
-        for i in range(9):
-            for j in m.row_indices(i):
-                m.set(i, j, rng.standard_normal())
+        a = np.triu(np.tril(rng.standard_normal((9, 9)), 3), -2)  # kl=2, ku=3
+        m = from_dense(a, 2, 3)
         x = rng.standard_normal(9)
-        np.testing.assert_allclose(m.matvec(x), m.to_dense() @ x, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(m.matvec(x), a @ x, rtol=1e-14, atol=1e-14)
 
     def test_eliminate_dirichlet_keeps_symmetry(self):
-        m = BandedMatrix(4, 1, 1)
-        for i in range(4):
-            m.set(i, i, 2.0)
-        for i in range(3):
-            m.set(i, i + 1, -1.0)
-            m.set(i + 1, i, -1.0)
+        m = from_dense(2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1), 1, 1)
         rhs = np.ones(4)
         eliminate_dirichlet(m, rhs, 0, 5.0)
-        a = m.to_dense()
+        np.testing.assert_array_equal(constrained_rows(m), [True, False, False, False])
+        a = to_dense(m)
         np.testing.assert_allclose(a, a.T)
         assert a[0, 0] == 1.0 and rhs[0] == 5.0
         assert rhs[1] == 1.0 - (-1.0) * 5.0
+
+    def test_constrained_rows_need_empty_row_and_column(self):
+        a = np.diag([1.0, 1.0, 1.0, 2.0])
+        a[1, 3] = 0.5  # row 1 has an off-diagonal entry, column 1 none
+        a[3, 2] = 0.5  # column 2 has one, row 2 none
+        np.testing.assert_array_equal(constrained_rows(from_dense(a, 1, 2)),
+                                      [True, False, False, False])
 
 
 class TestStandardAssembly:
     def test_unconstrained_interior_row(self):
         # REF=1, p=1: the discrete operator's interior row is {+2, -4, +2}
         system = assemble_standard(_NEUMANN_BOTH, build_mesh(1), 1)
-        a = system.matrix.to_dense()
+        a = to_dense(system.matrix)
         np.testing.assert_allclose(a[1], [2.0, -4.0, 2.0], atol=1e-12)
 
     def test_strong_dirichlet_rows(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(1), 1)
-        a = system.matrix.to_dense()
+        a = to_dense(system.matrix)
         g = float(np.exp(-0.25))
         # identity rows, bit-exact boundary values, purged columns
         np.testing.assert_array_equal(a[0], [1.0, 0.0, 0.0])
@@ -104,19 +105,17 @@ class TestStandardAssembly:
 
     def test_symmetry_sampled(self):
         for name, p in (("bench-poisson", 3), ("bench-diffusion", 2)):
-            system = assemble_standard(catalog(name), build_mesh(4), p)
-            m = system.matrix
+            a = to_dense(assemble_standard(catalog(name), build_mesh(4), p).matrix)
             rng = np.random.default_rng(11)
-            scale = np.abs(m.ab).max()
+            scale = np.abs(a).max()
             for _ in range(50):
-                i = int(rng.integers(0, m.n))
-                j = int(rng.integers(max(0, i - p), min(m.n, i + p + 1)))
-                assert abs(m.get(i, j) - m.get(j, i)) <= 1e-14 * scale
+                i = int(rng.integers(0, len(a)))
+                j = int(rng.integers(max(0, i - p), min(len(a), i + p + 1)))
+                assert abs(a[i, j] - a[j, i]) <= 1e-14 * scale
 
     def test_dof_counts_and_bandwidth(self):
         system = assemble_standard(catalog("bench-poisson"), build_mesh(4), 2)
         assert system.n_unknowns == 33
-        assert standard_dof_count(2, 16, False) == 33
         assert system.matrix.kl == system.matrix.ku == 2
         helm = assemble_standard(catalog("bench-helmholtz"), build_mesh(2), 2)
         assert helm.n_unknowns == 18
@@ -126,7 +125,7 @@ class TestStandardAssembly:
         spec = catalog("case5", 1.0)
         for p, ref in ((1, 5), (3, 3), (5, 2)):
             system = assemble_standard(spec, build_mesh(ref), p)
-            x = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+            x = np.linalg.solve(to_dense(system.matrix), system.rhs)
             coeffs = extract_standard_coeffs(x, system)
             nodes = LagrangeBasis(p).nodes
             exact = (np.arange(system.mesh.cell_count)[:, None] + nodes[None, :]) * system.mesh.h
@@ -137,13 +136,13 @@ class TestStandardAssembly:
         mesh = build_mesh(4)
         strong = assemble_standard(spec, mesh, 2)
         weak = assemble_standard(spec, mesh, 2, dirichlet_mode="weak")
-        xs = np.linalg.solve(strong.matrix.to_dense(), strong.rhs)
-        xw = np.linalg.solve(weak.matrix.to_dense(), weak.rhs)
+        xs = np.linalg.solve(to_dense(strong.matrix), strong.rhs)
+        xw = np.linalg.solve(to_dense(weak.matrix), weak.rhs)
         # default penalty 1e6 pins the boundary values to ~1e-6
         assert abs(xw[0] - np.exp(-0.25)) < 1e-5
         assert np.abs(xw - xs).max() < 1e-4
         tighter = assemble_standard(spec, mesh, 2, dirichlet_mode="weak", penalty=1e10)
-        xt = np.linalg.solve(tighter.matrix.to_dense(), tighter.rhs)
+        xt = np.linalg.solve(to_dense(tighter.matrix), tighter.rhs)
         assert np.abs(xt - xs).max() < 1e-8
 
     def test_neumann_load(self):
@@ -173,7 +172,6 @@ class TestMixedAssembly:
     def test_dof_count_and_bandwidth(self):
         system = assemble_mixed(catalog("bench-poisson"), build_mesh(4), 2)
         assert system.n_unknowns == 65
-        assert mixed_dof_count(2, 16, False) == 65
         assert system.matrix.kl == system.matrix.ku == 4  # <= 2(4p+1)
         helm = assemble_mixed(catalog("bench-helmholtz"), build_mesh(2), 2)
         assert helm.n_unknowns == 2 * (2 * 2 * 4 + 1)
@@ -192,7 +190,7 @@ class TestMixedAssembly:
     def test_mass_block_spd_one_cell(self):
         # oracle: exact P1 mass matrix [[h/3, h/6], [h/6, h/3]] on a single cell
         system = assemble_mixed(catalog("case5", 1.0), build_mesh(0), 1)
-        m = system.blocks.M.to_dense()
+        m = to_dense(system.blocks.M)
         oracle = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
         np.testing.assert_allclose(m, oracle, atol=1e-15)
         eigs = np.linalg.eigvalsh(m)
@@ -214,11 +212,11 @@ class TestMixedAssembly:
     @pytest.mark.parametrize("spec", [catalog("bench-diffusion"), poisson_neumann_variant()])
     def test_blocks_are_slices_of_the_band(self, spec):
         system = assemble_mixed(spec, build_mesh(3), 3)
-        a = system.matrix.to_dense()
+        a = to_dense(system.matrix)
         v = mixed_v_positions(3, 8)
         u = mixed_u_positions(3, 8).ravel()
         blocks = system.blocks
-        np.testing.assert_array_equal(blocks.M.to_dense(), a[np.ix_(v, v)])
+        np.testing.assert_array_equal(to_dense(blocks.M), a[np.ix_(v, v)])
         np.testing.assert_array_equal(blocks.B.toarray(), a[np.ix_(v, u)])
         np.testing.assert_array_equal(blocks.C.toarray(), a[np.ix_(u, v)])
         np.testing.assert_array_equal(blocks.G, system.rhs[v])
@@ -229,7 +227,7 @@ class TestMixedAssembly:
         scaled = scale_system(system, "M1", norm_u=0.9, norm_v=3.7)
         v = mixed_v_positions(3, 16)
         u = mixed_u_positions(3, 16).ravel()
-        a = scaled.matrix.to_dense()
+        a = to_dense(scaled.matrix)
         blocks = scaled.blocks
         np.testing.assert_array_equal(blocks.B.toarray(), a[np.ix_(v, u)])
         np.testing.assert_array_equal(blocks.C.toarray(), system.blocks.C.toarray())
@@ -250,7 +248,7 @@ class TestMixedAssembly:
         spec = catalog("case5", 1.0)
         for p in (1, 2, 4):
             system = assemble_mixed(spec, build_mesh(1), p)
-            x = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+            x = np.linalg.solve(to_dense(system.matrix), system.rhs)
             v, u = extract_mixed_coeffs(x, system)
             np.testing.assert_allclose(v, -1.0, atol=1e-13)
             psi_nodes = LagrangeBasis(p - 1, continuous=False).nodes
@@ -260,33 +258,36 @@ class TestMixedAssembly:
     def test_neumann_essential_on_v(self):
         # bench-diffusion has u_x(1) = 2 pi, so the last v unknown is -2 pi
         system = assemble_mixed(catalog("bench-diffusion"), build_mesh(3), 2)
-        x = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+        x = np.linalg.solve(to_dense(system.matrix), system.rhs)
         v, _ = extract_mixed_coeffs(x, system)
         assert abs(v[-1, -1] + 2 * np.pi) < 1e-12
 
 
 class TestComplexSplit:
     def test_one_by_one_example(self):
-        m = BandedMatrix(1, 0, 0, dtype=complex)
-        m.set(0, 0, 1.0 + 1.0j)
+        m = from_dense(np.array([[1.0 + 1.0j]]), 0, 0)
         split, rhs = split_complex(m, np.array([2.0 + 0.0j]))
-        np.testing.assert_allclose(split.to_dense(), [[1.0, -1.0], [1.0, 1.0]])
-        x = np.linalg.solve(split.to_dense(), rhs)
+        np.testing.assert_allclose(to_dense(split), [[1.0, -1.0], [1.0, 1.0]])
+        x = np.linalg.solve(to_dense(split), rhs)
         assert recombine_split(x)[0] == 1.0 - 1.0j
 
     def test_random_system_agrees_with_complex_solve(self):
         rng = np.random.default_rng(9)
         n, kl, ku = 12, 2, 3
-        m = BandedMatrix(n, kl, ku, dtype=complex)
+        a = np.zeros((n, n), dtype=complex)
         for i in range(n):
-            for j in m.row_indices(i):
-                m.set(i, j, rng.standard_normal() + 1j * rng.standard_normal())
-            m.set(i, i, m.get(i, i) + 4.0)
+            for j in range(max(0, i - kl), min(n, i + ku + 1)):
+                a[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+            a[i, i] += 4.0
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        split, rhs = split_complex(m, b)
+        split, rhs = split_complex(from_dense(a, kl, ku), b)
         assert split.kl == 2 * kl + 1 and split.ku == 2 * ku + 1
-        x = recombine_split(np.linalg.solve(split.to_dense(), rhs))
-        x_ref = np.linalg.solve(m.to_dense(), b)
+        image = np.empty((2 * n, 2 * n))
+        image[0::2, 0::2], image[0::2, 1::2] = a.real, -a.imag
+        image[1::2, 0::2], image[1::2, 1::2] = a.imag, a.real
+        np.testing.assert_array_equal(to_dense(split), image)
+        x = recombine_split(np.linalg.solve(to_dense(split), rhs))
+        x_ref = np.linalg.solve(a, b)
         np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12)
 
     def test_rejects_real_input(self):
@@ -299,37 +300,40 @@ class TestScaling:
         system = assemble_standard(catalog("bench-poisson"), build_mesh(3), 2)
         scaled = scale_system(system, "S", norm_u=0.92)
         np.testing.assert_allclose(scaled.rhs, system.rhs / 0.92, rtol=1e-15)
-        assert scaled.scale_factor("u") == 0.92
+        assert scaled.scaling.factor_for("u") == 0.92
         assert system.scaling.scheme == "none"  # original untouched
 
-    def test_scheme_m1_scales_gradient_columns(self):
-        system = assemble_mixed(catalog("bench-poisson"), build_mesh(2), 2)
+    @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
+    def test_scheme_m1_scales_gradient_columns(self, name):
+        system = assemble_mixed(catalog(name), build_mesh(2), 2)
         ku_norm, kv_norm = 0.9, 3.7
         scaled = scale_system(system, "M1", norm_u=ku_norm, norm_v=kv_norm)
-        a0 = system.matrix.to_dense()
-        a1 = scaled.matrix.to_dense()
-        u_col = mixed_is_u_position(np.arange(system.n_unknowns), system.p)
+        a0 = to_dense(system.matrix)
+        a1 = to_dense(scaled.matrix)
+        # a split system interleaves (Re, Im) of each unknown
+        unknown = np.arange(system.n_unknowns) // (2 if system.complex_valued else 1)
+        u_col = mixed_is_u_position(unknown, system.p)
         ratio = ku_norm / kv_norm
-        np.testing.assert_allclose(a1[:, u_col], ratio * a0[:, u_col], rtol=1e-14)
-        np.testing.assert_allclose(a1[:, ~u_col], a0[:, ~u_col], rtol=0, atol=0)
-        np.testing.assert_allclose(scaled.rhs, system.rhs / kv_norm, rtol=1e-15)
-        assert scaled.scale_factor("u") == ku_norm
-        assert scaled.scale_factor("ux") == kv_norm
-        assert scaled.scale_factor("uxx") == kv_norm
+        np.testing.assert_array_equal(a1[:, u_col], ratio * a0[:, u_col])
+        np.testing.assert_array_equal(a1[:, ~u_col], a0[:, ~u_col])
+        np.testing.assert_array_equal(scaled.rhs, system.rhs / kv_norm)
+        assert scaled.scaling.factor_for("u") == ku_norm
+        assert scaled.scaling.factor_for("ux") == kv_norm
+        assert scaled.scaling.factor_for("uxx") == kv_norm
 
     def test_scheme_m2_divides_rhs(self):
         system = assemble_mixed(catalog("bench-poisson"), build_mesh(2), 2)
         scaled = scale_system(system, "M2", norm_u=2.0)
         np.testing.assert_allclose(scaled.rhs, system.rhs / 2.0, rtol=1e-15)
-        a0, a1 = system.matrix.to_dense(), scaled.matrix.to_dense()
+        a0, a1 = to_dense(system.matrix), to_dense(scaled.matrix)
         np.testing.assert_array_equal(a0, a1)
 
     def test_scaled_solutions_are_divided_unknowns(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(4), 2)
-        x0 = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+        x0 = np.linalg.solve(to_dense(system.matrix), system.rhs)
         scaled = scale_system(system, "S", norm_u=0.92)
-        x1 = np.linalg.solve(scaled.matrix.to_dense(), scaled.rhs)
+        x1 = np.linalg.solve(to_dense(scaled.matrix), scaled.rhs)
         np.testing.assert_allclose(x1, x0 / 0.92, rtol=1e-12)
 
     def test_scheme_flavor_validation(self):

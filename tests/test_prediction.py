@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fem_errbal import prediction
 from fem_errbal.assembly import assemble_mixed, scale_system
 from fem_errbal.error_analysis import host_dof_count
 from fem_errbal.mesh_basis import build_mesh
@@ -397,3 +398,21 @@ class TestBruteForceSweep:
     def test_unavailable_variable_rejected(self):
         with pytest.raises(ValueError):
             brute_force_sweep(catalog("bench-poisson"), "standard", 1, "uxx")
+
+    @pytest.mark.parametrize("estimator, solved", [("exact", [0]), ("refined", [0, 1])])
+    def test_nan_load_raises_within_two_levels(self, monkeypatch, estimator, solved):
+        spec = _nan_load()
+        if estimator == "refined":
+            spec = dataclasses.replace(spec, exact_u=None, exact_ux=None, exact_uxx=None)
+        levels = []
+
+        def counting_solve_level(*args, **kwargs):
+            levels.append(args[3])
+            assert len(levels) <= 2, "the sweep went on past a NaN error value"
+            return solve_level(*args, **kwargs)
+
+        monkeypatch.setattr(prediction, "solve_level", counting_solve_level)
+        # default n_max (1e8 DoF): only the non-finite stop ends this sweep early
+        with pytest.raises(RuntimeError, match="error estimate is nan"):
+            brute_force_sweep(spec, "standard", 2, "u", factors={"norm_u": 1.0})
+        assert levels == solved

@@ -25,62 +25,48 @@ from fem_errbal.solvers import (
     solve_system,
 )
 
-
-def _banded_from_dense(a, kl, ku):
-    mat = BandedMatrix(a.shape[0], kl, ku, dtype=float)
-    rows, cols = np.nonzero(a)
-    mat.add_at(rows, cols, a[rows, cols])
-    return mat
+from banded import from_dense, reconstruct, to_dense
 
 
-def _random_banded(n, kl, ku, seed, tiny_diag=False):
+def _random_banded(n, kl, ku, seed):
     rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
     for d in range(-kl, ku + 1):
         idx = np.arange(max(0, -d), n - max(0, d))
         a[idx, idx + d] = rng.standard_normal(idx.size)
-    if tiny_diag:
-        # forces row interchanges during the factorization
-        a[np.arange(n), np.arange(n)] *= 1e-8
+    # a tiny diagonal forces row interchanges during the factorization
+    a[np.arange(n), np.arange(n)] *= 1e-8
     return a
 
 
 class TestBandedLU:
     def test_frozen_two_by_two(self):
-        mat = _banded_from_dense(np.array([[2.0, 1.0], [1.0, 3.0]]), 1, 1)
+        mat = from_dense(np.array([[2.0, 1.0], [1.0, 3.0]]), 1, 1)
         x = BandedLU(mat).solve(np.array([3.0, 5.0]))
         assert np.allclose(x, [0.8, 1.4], rtol=1e-15, atol=0.0)
 
     def test_reconstruction_with_pivoting(self):
-        a = _random_banded(40, 2, 3, seed=7, tiny_diag=True)
-        factor = BandedLU(_banded_from_dense(a, 2, 3))
-        _, _, ipiv = factor.factors_dense()
-        assert np.any(ipiv != np.arange(40))  # interchanges actually happened
+        a = _random_banded(40, 2, 3, seed=7)
+        factor = BandedLU(from_dense(a, 2, 3))
+        assert np.any(factor._ipiv != np.arange(40))  # interchanges actually happened
         scale = np.max(np.sum(np.abs(a), axis=1))
-        assert np.max(np.abs(factor.reconstruct_dense() - a)) <= 1e-13 * scale
+        assert np.max(np.abs(reconstruct(factor) - a)) <= 1e-13 * scale
 
     def test_reconstruction_sampled_columns_assembled(self):
         spec = catalog("bench-diffusion")
         system = assemble_standard(spec, build_mesh(7), p=3)
         factor = BandedLU(system.matrix)
-        dense = system.matrix.to_dense()
+        dense = to_dense(system.matrix)
         cols = np.random.default_rng(3).choice(dense.shape[1], size=60, replace=False)
-        rebuilt = factor.reconstruct_columns(cols)
+        rebuilt = reconstruct(factor)[:, cols]
         scale = np.max(np.sum(np.abs(dense), axis=1))
         assert np.max(np.abs(rebuilt - dense[:, cols])) <= 1e-13 * scale
-
-    def test_factors_shapes(self):
-        a = _random_banded(12, 2, 2, seed=1)
-        lower, upper, _ = BandedLU(_banded_from_dense(a, 2, 2)).factors_dense()
-        assert np.allclose(np.diag(lower), 1.0)
-        assert np.max(np.abs(np.triu(lower, 1))) == 0.0
-        assert np.max(np.abs(np.tril(upper, -1))) == 0.0
 
     def test_singular_reports_pivot(self):
         a = np.eye(4)
         a[2, 2] = 0.0
         with pytest.raises(SingularMatrixError) as err:
-            BandedLU(_banded_from_dense(a + np.diag([0, 0, 0, 0]), 1, 1))
+            BandedLU(from_dense(a + np.diag([0, 0, 0, 0]), 1, 1))
         assert err.value.pivot == 2
 
     def test_complex_matrix_rejected(self):
@@ -91,7 +77,7 @@ class TestBandedLU:
         spec = catalog("bench-helmholtz")
         system = assemble_mixed(spec, build_mesh(3), p=2)
         report = lu_banded_solve(system)
-        dense = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+        dense = np.linalg.solve(to_dense(system.matrix), system.rhs)
         assert np.linalg.norm(report.x - dense) <= 1e-11 * np.linalg.norm(dense)
         assert report.method == "lu"
         assert report.iterations == 0
@@ -127,13 +113,9 @@ class TestConjugateGradients:
     def test_positive_definite_runs_unflipped(self):
         # mass-like SPD tridiagonal wrapped as a system
         n = 17
-        a = np.zeros((n, n))
-        idx = np.arange(n)
-        a[idx, idx] = 2.0
-        a[idx[:-1], idx[:-1] + 1] = -1.0
-        a[idx[:-1] + 1, idx[:-1]] = -1.0
+        a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         base = assemble_standard(catalog("bench-poisson"), build_mesh(2), p=1)
-        system = dataclasses.replace(base, matrix=_banded_from_dense(a, 1, 1), rhs=np.ones(n))
+        system = dataclasses.replace(base, matrix=from_dense(a, 1, 1), rhs=np.ones(n))
         report = cg_solve(system, tol_prm=1e-13)
         dense = np.linalg.solve(a, np.ones(n))
         assert np.linalg.norm(report.x - dense) <= 1e-10 * np.linalg.norm(dense)
