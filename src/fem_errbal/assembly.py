@@ -21,6 +21,12 @@ Weak statements, with n the outward normal and (.,.) the L2 pairing:
 The mixed unknowns are interleaved cell by cell so the monolithic matrix stays
 banded; the segregated solver's block (M, B, C, ...) view is sliced from that
 band on each access, so there is one copy of the system.
+
+Cell blocks go into the band by strided slices: cell c's unknowns sit at a
+fixed stride times c plus a per-cell offset, so one slice-add per local pair
+(i, j) covers every cell.  Within a slice the cells hit distinct slots, and a
+slot gets at most two addends (the diagonal of a shared vertex), so the sums
+do not depend on the order of the adds.
 """
 
 from __future__ import annotations
@@ -137,6 +143,17 @@ def recombine_split(x: np.ndarray) -> np.ndarray:
 def _cell_dofs(p: int, t: int) -> np.ndarray:
     """Indices of each cell's p+1 continuous unknowns, shape (t, p+1)."""
     return np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
+
+
+def _add_cell_blocks(mat: BandedMatrix, values: np.ndarray, rows, cols, stride: int, t: int) -> None:
+    """Add values[..., i, j] at (stride*c + rows[i], stride*c + cols[j]) for cells c < t.
+
+    values is one (a, b) block shared by all cells or a (t, a, b) stack.
+    """
+    r0 = mat.kl + mat.ku
+    for i, ri in enumerate(rows):
+        for j, cj in enumerate(cols):
+            mat.ab[r0 + ri - cj, cj : cj + stride * t : stride] += values[..., i, j]
 
 
 def mixed_v_positions(p: int, t: int) -> np.ndarray:
@@ -284,24 +301,22 @@ def assemble_standard(
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     if np.any(rv != 0):
         ke = ke + h * _cell_integrals(rv, quad.weights, n_quad, phi, phi)
-    ke = np.broadcast_to(ke, (t, p + 1, p + 1))
     fe = h * np.einsum("cq,qi->ci", quad.weights[None, :] * np.asarray(spec.f(x_q), dtype=dtype),
                        basis_table(p, True, n_quad, 0))
 
-    gdof = _cell_dofs(p, t)
     mat = BandedMatrix(m, p, p, dtype=dtype)
-    rows = np.broadcast_to(gdof[:, :, None], ke.shape)
-    cols = np.broadcast_to(gdof[:, None, :], ke.shape)
-    mat.add_at(rows.ravel(), cols.ravel(), ke.ravel())
+    local = range(p + 1)
+    _add_cell_blocks(mat, ke, local, local, p, t)
     rhs = np.zeros(m, dtype=dtype)
-    np.add.at(rhs, gdof.ravel(), fe.ravel())
+    for i in local:
+        rhs[i : i + p * t : p] += fe[:, i]
 
     # boundary terms; basis values at the endpoints are exact Kronecker deltas
     strong: list[tuple[int, complex]] = []
     for bc in (spec.bc_left, spec.bc_right):
         x0, n = bc.location, bc.normal
         bdof = 0 if bc.side == "left" else m - 1
-        cell_dofs = gdof[0] if bc.side == "left" else gdof[-1]
+        cell_dofs = np.arange(p + 1) + (0 if bc.side == "left" else m - 1 - p)
         if bc.kind == "neumann":
             rhs[bdof] -= np.asarray(spec.D(np.array([x0])), dtype=dtype)[0] * bc.value * n
             continue
@@ -356,40 +371,27 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
         h * _cell_integrals(dxv, quad.weights, n_quad, psi, phi)
         + _cell_integrals(dv, quad.weights, n_quad, psi, dphi)
     )
-    ce = np.broadcast_to(ce, (t, p, p + 1))
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     he = h * np.einsum("cq,qe->ce", quad.weights[None, :] * np.asarray(spec.f(x_q), dtype=dtype),
                        basis_table(p - 1, False, n_quad, 0))
 
-    pos_v = mixed_v_positions(p, t)
-    pos_u = mixed_u_positions(p, t)
-    vcell = pos_v[_cell_dofs(p, t)]
-
+    # cell c holds v at 2pc + v_off and u at 2pc + u_off
+    v_off = [0, *range(p + 1, 2 * p + 1)]
+    u_off = range(1, p + 1)
     mat = BandedMatrix(total, 2 * p, 2 * p, dtype=dtype)
-    rhs = np.zeros(total, dtype=dtype)
-    # M block, identical on every cell
-    rows = np.broadcast_to(vcell[:, :, None], (t, p + 1, p + 1))
-    cols = np.broadcast_to(vcell[:, None, :], (t, p + 1, p + 1))
-    mat.add_at(rows.ravel(), cols.ravel(), np.broadcast_to(me, (t, p + 1, p + 1)).ravel())
-    # B block
-    rows = np.broadcast_to(vcell[:, :, None], (t, p + 1, p))
-    cols = np.broadcast_to(pos_u[:, None, :], (t, p + 1, p))
-    mat.add_at(rows.ravel(), cols.ravel(), np.broadcast_to(be, (t, p + 1, p)).ravel())
-    # second-equation blocks
-    rows = np.broadcast_to(pos_u[:, :, None], (t, p, p + 1))
-    cols = np.broadcast_to(vcell[:, None, :], (t, p, p + 1))
-    mat.add_at(rows.ravel(), cols.ravel(), ce.ravel())
+    _add_cell_blocks(mat, me, v_off, v_off, 2 * p, t)
+    _add_cell_blocks(mat, be, v_off, u_off, 2 * p, t)
+    _add_cell_blocks(mat, ce, u_off, v_off, 2 * p, t)
     if np.any(rv != 0):
-        re = np.broadcast_to(h * _cell_integrals(rv, quad.weights, n_quad, psi, psi), (t, p, p))
-        rows = np.broadcast_to(pos_u[:, :, None], (t, p, p))
-        cols = np.broadcast_to(pos_u[:, None, :], (t, p, p))
-        mat.add_at(rows.ravel(), cols.ravel(), re.ravel())
-    np.add.at(rhs, pos_u.ravel(), he.ravel())
+        re = h * _cell_integrals(rv, quad.weights, n_quad, psi, psi)
+        _add_cell_blocks(mat, re, u_off, u_off, 2 * p, t)
+    rhs = np.zeros(total, dtype=dtype)
+    rhs[mixed_u_positions(p, t)] = he
 
     # Dirichlet data is natural here: G_k = -(w_k, g n) on the Dirichlet ends;
     # Neumann data is essential on the v space: v = -h on that end
     for bc in (spec.bc_left, spec.bc_right):
-        v_pos = int(pos_v[0 if bc.side == "left" else -1])
+        v_pos = 0 if bc.side == "left" else total - 1
         if bc.kind == "dirichlet":
             rhs[v_pos] += -bc.value * bc.normal
         else:
@@ -435,6 +437,10 @@ def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
     block (and any reaction block) by ||u||/||v|| while dividing the right-hand
     side by ||v||.  The recorded ScalingInfo maps each variable to the factor
     the solved unknowns were divided by.
+
+    The input is never written.  'S' and 'M2' return a system that shares its
+    band with the input and has a new right-hand side; only 'M1', which scales
+    columns, copies the band.
     """
     if scheme == "none":
         return system
@@ -447,14 +453,13 @@ def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
     if norm_u <= 0 or norm_v <= 0:
         raise ValueError("scaling factors must be positive")
 
-    out = replace(system, matrix=system.matrix.copy(), rhs=system.rhs.copy())
+    matrix = system.matrix
     if scheme == "M1":
+        matrix = matrix.copy()
         # a split system interleaves (Re, Im) of each unknown
-        unknown = np.arange(out.n_unknowns) // (2 if out.complex_valued else 1)
-        out.matrix.ab[:, mixed_is_u_position(unknown, out.p)] *= norm_u / norm_v
-        out.rhs /= norm_v
-    else:
-        out.rhs /= norm_u
-    out.scaling = ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
-    return out
+        unknown = np.arange(matrix.n) // (2 if system.complex_valued else 1)
+        matrix.ab[:, mixed_is_u_position(unknown, system.p)] *= norm_u / norm_v
+    rhs = system.rhs / (norm_v if scheme == "M1" else norm_u)
+    scaling = ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
+    return replace(system, matrix=matrix, rhs=rhs, scaling=scaling)
 

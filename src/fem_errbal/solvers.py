@@ -60,13 +60,19 @@ class SolveReport:
 
 
 class BandedLU:
-    """Factorization PA = LU of a BandedMatrix, reusable for several solves."""
+    """Factorization PA = LU of a BandedMatrix, reusable for several solves.
+
+    The band goes to dgbtrf as it is: with overwrite_ab=0 LAPACK's wrapper
+    makes the one Fortran-order copy that it factors, so the matrix is never
+    written.  The band itself stays in C order, where each stored diagonal is
+    contiguous for `BandedMatrix.matvec`.
+    """
 
     def __init__(self, mat: BandedMatrix):
         if np.iscomplexobj(mat.ab):
             raise ValueError("factor the split real system, not the complex one")
         self.n, self.kl, self.ku = mat.n, mat.kl, mat.ku
-        lu, ipiv, info = lapack.dgbtrf(np.asfortranarray(mat.ab), mat.kl, mat.ku)
+        lu, ipiv, info = lapack.dgbtrf(mat.ab, mat.kl, mat.ku)
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to the factorization")
         if info > 0:
@@ -158,20 +164,14 @@ def cg_solve(system: LinearSystem, tol_prm: float, max_iter: int | None = None) 
     return SolveReport(x=x, method="cg", iterations=iters, rel_residual=float(res), wall_time=elapsed)
 
 
-def schur_solve(
-    system: LinearSystem,
-    outer_tol: float = 1e-10,
-    inner: str = "direct",
-    inner_tol: float = 1e-12,
-    max_iter: int | None = None,
-) -> SolveReport:
+def schur_solve(system: LinearSystem, outer_tol: float = 1e-10, max_iter: int | None = None) -> SolveReport:
     """Segregated solve of the real mixed saddle system.
 
     Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
-    matvec X = B W, M Y = X, Z = C Y; the gradient unknowns follow from
-    M V = G - B U.  C is the second-equation block taken from the system, a
-    positive multiple of B^T in the pure saddle form, so the operator is
-    symmetric positive definite.
+    matvec X = B W, M Y = X, Z = C Y, where the mass solves reuse one banded
+    LU of M; the gradient unknowns follow from M V = G - B U.  C is the
+    second-equation block taken from the system, a positive multiple of B^T
+    in the pure saddle form, so the operator is symmetric positive definite.
     """
     start = time.perf_counter()
     blocks = system.blocks
@@ -182,19 +182,7 @@ def schur_solve(
             "segregated solve requires the pure saddle form (constant unit "
             "diffusion, no reaction term)"
         )
-    if inner not in ("direct", "cg"):
-        raise ValueError(f"unknown inner solver {inner!r}")
-
-    if inner == "direct":
-        factor = BandedLU(blocks.M)
-        m_solve = factor.solve
-    else:
-        m_mat = blocks.M
-
-        def m_solve(b):
-            y, _, _ = _cg_core(m_mat.matvec, b, inner_tol, 10 * m_mat.n, stage="inner-cg")
-            return y
-
+    m_solve = BandedLU(blocks.M).solve
     b_mat, c_mat = blocks.B, blocks.C
     rhs_outer = c_mat @ m_solve(blocks.G) - blocks.H
 
@@ -211,7 +199,7 @@ def schur_solve(
     x[mixed_u_positions(p, t).ravel()] = u  # block u ordering is cell-major already
     elapsed = time.perf_counter() - start
     return SolveReport(
-        x=x, method=f"schur[{inner}]", iterations=iters, rel_residual=float(res), wall_time=elapsed
+        x=x, method="schur[direct]", iterations=iters, rel_residual=float(res), wall_time=elapsed
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense views of band storage for checks on small systems.
+"""Dense views of band storage and a reference assembly, for checks on small systems.
 
 Built on `BandedMatrix.ab`, `BandedMatrix.add_at` and the factors a `BandedLU`
 keeps, so the package itself needs no dense or inspection API.
@@ -6,7 +6,17 @@ keeps, so the package itself needs no dense or inspection API.
 
 import numpy as np
 
-from fem_errbal.assembly import BandedMatrix
+from fem_errbal.assembly import (
+    DEFAULT_PENALTY,
+    BandedMatrix,
+    _cell_dofs,
+    _cell_integrals,
+    eliminate_dirichlet,
+    mixed_u_positions,
+    mixed_v_positions,
+    split_complex,
+)
+from fem_errbal.mesh_basis import LagrangeBasis, basis_table, gauss_legendre_rule, reference_integral
 
 
 def _dense(ab: np.ndarray, r0: int) -> np.ndarray:
@@ -43,3 +53,83 @@ def reconstruct(factor) -> np.ndarray:
         if pj != j:
             a[[j, pj]] = a[[pj, j]]
     return a
+
+
+def _scatter(mat: BandedMatrix, row_dofs: np.ndarray, col_dofs: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at of per-cell blocks over full (cells, a, b) index tables."""
+    shape = (row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1])
+    rows = np.broadcast_to(row_dofs[:, :, None], shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], shape)
+    mat.add_at(rows.ravel(), cols.ravel(), np.broadcast_to(values, shape).ravel())
+
+
+def add_at_assembly(spec, mesh, p: int, flavor: str, dirichlet_mode: str = "strong"):
+    """(ab, rhs) of `assemble_standard` or `assemble_mixed`, with every cell
+    block and load vector scattered by np.add.at over global index tables,
+    the way the package assembled them before it used strided slices."""
+    n_quad = p + 2
+    quad = gauss_legendre_rule(n_quad)
+    t, h = mesh.cell_count, mesh.h
+    dtype = complex if spec.complex_valued else float
+    x_q = (np.arange(t)[:, None] + quad.points[None, :]) * h
+    coef = {name: np.asarray(getattr(spec, name)(x_q), dtype=dtype) for name in ("D", "D_x", "r", "f")}
+    phi, dphi, psi = (p, True, 0), (p, True, 1), (p - 1, False, 0)
+
+    def integrals(name, a, b):
+        return _cell_integrals(coef[name], quad.weights, n_quad, a, b)
+
+    if flavor == "standard":
+        m = p * t + 1
+        ke = -(1.0 / h) * integrals("D", dphi, dphi)
+        if np.any(coef["r"] != 0):
+            ke = ke + h * integrals("r", phi, phi)
+        fe = h * np.einsum("cq,qi->ci", quad.weights[None, :] * coef["f"], basis_table(p, True, n_quad, 0))
+        gdof = _cell_dofs(p, t)
+        mat = BandedMatrix(m, p, p, dtype=dtype)
+        _scatter(mat, gdof, gdof, ke)
+        rhs = np.zeros(m, dtype=dtype)
+        np.add.at(rhs, gdof.ravel(), fe.ravel())
+        strong = []
+        for bc in (spec.bc_left, spec.bc_right):
+            x0, n = bc.location, bc.normal
+            bdof = 0 if bc.side == "left" else m - 1
+            cell_dofs = gdof[0] if bc.side == "left" else gdof[-1]
+            d_here = np.asarray(spec.D(np.array([x0])), dtype=dtype)[0]
+            if bc.kind == "neumann":
+                rhs[bdof] -= d_here * bc.value * n
+            elif dirichlet_mode == "strong":
+                strong.append((bdof, bc.value))
+            else:
+                dvals = LagrangeBasis(p).eval(np.array([x0]), 1)[0] / h
+                mat.add_at(np.full(p + 1, bdof), cell_dofs, n * d_here * dvals)
+                mat.add_at(cell_dofs, np.full(p + 1, bdof), -n * dvals)
+                mat.add_at(np.array([bdof]), np.array([bdof]), np.array([n * DEFAULT_PENALTY]))
+                rhs[cell_dofs] += -n * bc.value * dvals
+                rhs[bdof] += n * DEFAULT_PENALTY * bc.value
+        for bdof, value in strong:
+            eliminate_dirichlet(mat, rhs, bdof, value)
+    else:
+        total = 2 * p * t + 1
+        me = h * reference_integral(phi, phi)
+        be = -reference_integral(psi, dphi).T
+        ce = -(h * integrals("D_x", psi, phi) + integrals("D", psi, dphi))
+        he = h * np.einsum("cq,qe->ce", quad.weights[None, :] * coef["f"], basis_table(p - 1, False, n_quad, 0))
+        pos_v, pos_u = mixed_v_positions(p, t), mixed_u_positions(p, t)
+        vcell = pos_v[_cell_dofs(p, t)]
+        mat = BandedMatrix(total, 2 * p, 2 * p, dtype=dtype)
+        _scatter(mat, vcell, vcell, me)
+        _scatter(mat, vcell, pos_u, be)
+        _scatter(mat, pos_u, vcell, ce)
+        if np.any(coef["r"] != 0):
+            _scatter(mat, pos_u, pos_u, h * integrals("r", psi, psi))
+        rhs = np.zeros(total, dtype=dtype)
+        np.add.at(rhs, pos_u.ravel(), he.ravel())
+        for bc in (spec.bc_left, spec.bc_right):
+            v_pos = int(pos_v[0 if bc.side == "left" else -1])
+            if bc.kind == "dirichlet":
+                rhs[v_pos] += -bc.value * bc.normal
+            else:
+                eliminate_dirichlet(mat, rhs, v_pos, -bc.value)
+    if spec.complex_valued:
+        mat, rhs = split_complex(mat, rhs)
+    return mat.ab, rhs

@@ -22,7 +22,7 @@ from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
 
-from banded import from_dense, to_dense
+from banded import add_at_assembly, from_dense, to_dense
 
 
 def _zero(x):
@@ -42,6 +42,20 @@ _NEUMANN_BOTH = ProblemSpec(
     bc_left=BoundaryCondition("left", "neumann", 0.0),
     bc_right=BoundaryCondition("right", "neumann", 0.0),
 )
+
+
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_SCATTER_PROBLEMS = {
+    **{name: (lambda name=name: catalog(name))
+       for name in ("bench-poisson", "bench-diffusion", "bench-helmholtz", "validation-helmholtz")},
+    **{f"case{i}-c{c:g}": (lambda i=i, c=c: catalog(f"case{i}", coefficient=c))
+       for i in range(1, 6) for c in (0.01, 1.0, 100.0)},
+    "poisson-neumann-variant": poisson_neumann_variant,
+}
 
 
 class TestBandedMatrix:
@@ -263,6 +277,24 @@ class TestMixedAssembly:
         assert abs(v[-1, -1] + 2 * np.pi) < 1e-12
 
 
+@pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))
+@pytest.mark.parametrize("form", ["standard-strong", "standard-weak", "mixed"])
+def test_assembly_matches_add_at_scatter_bit_for_bit(problem, form):
+    spec = _SCATTER_PROBLEMS[problem]()
+    flavor, _, mode = form.partition("-")
+    for p in range(1, 6):
+        for level in (1, 2, 5):
+            mesh = build_mesh(level)
+            if flavor == "standard":
+                system = assemble_standard(spec, mesh, p, dirichlet_mode=mode)
+                ab, rhs = add_at_assembly(spec, mesh, p, flavor, mode)
+            else:
+                system = assemble_mixed(spec, mesh, p)
+                ab, rhs = add_at_assembly(spec, mesh, p, flavor)
+            _assert_same_bits(system.matrix.ab, ab)
+            _assert_same_bits(system.rhs, rhs)
+
+
 class TestComplexSplit:
     def test_one_by_one_example(self):
         m = from_dense(np.array([[1.0 + 1.0j]]), 0, 0)
@@ -335,6 +367,19 @@ class TestScaling:
         scaled = scale_system(system, "S", norm_u=0.92)
         x1 = np.linalg.solve(to_dense(scaled.matrix), scaled.rhs)
         np.testing.assert_allclose(x1, x0 / 0.92, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
+    @pytest.mark.parametrize("scheme", ["S", "M1", "M2"])
+    def test_input_left_unwritten(self, name, scheme):
+        assemble = assemble_standard if scheme == "S" else assemble_mixed
+        system = assemble(catalog(name), build_mesh(3), 2)
+        ab, rhs = system.matrix.ab.copy(), system.rhs.copy()
+        scaled = scale_system(system, scheme, norm_u=0.9, norm_v=3.7)
+        _assert_same_bits(system.matrix.ab, ab)
+        _assert_same_bits(system.rhs, rhs)
+        # only M1, which scales columns, needs a band of its own
+        assert np.shares_memory(scaled.matrix.ab, system.matrix.ab) == (scheme != "M1")
+        assert not np.shares_memory(scaled.rhs, system.rhs)
 
     def test_scheme_flavor_validation(self):
         std = assemble_standard(catalog("bench-poisson"), build_mesh(1), 1)
