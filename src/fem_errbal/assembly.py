@@ -218,9 +218,7 @@ class LinearSystem:
     flavor: str  # 'standard' | 'mixed'
     p: int
     mesh: Mesh
-    spec: ProblemSpec
     complex_valued: bool
-    n_quad: int
     scaling: ScalingInfo = field(default_factory=lambda: ScalingInfo("none"))
 
     @property
@@ -284,11 +282,10 @@ def assemble_standard(
     p: int,
     dirichlet_mode: str = "strong",
     penalty: float = DEFAULT_PENALTY,
-    n_quad: int | None = None,
 ) -> LinearSystem:
     if dirichlet_mode not in ("strong", "weak"):
         raise ValueError(f"unknown Dirichlet mode {dirichlet_mode!r}")
-    n_quad = n_quad if n_quad is not None else p + 2
+    n_quad = p + 2
     quad = gauss_legendre_rule(n_quad)
     t, h = mesh.cell_count, mesh.h
     m = p * t + 1
@@ -343,19 +340,17 @@ def assemble_standard(
         flavor="standard",
         p=p,
         mesh=mesh,
-        spec=spec,
         complex_valued=spec.complex_valued,
-        n_quad=n_quad,
     )
 
 
 # --- mixed formulation ---------------------------------------------------------
 
-def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = None) -> LinearSystem:
+def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     # continuous space carrying v, discontinuous space carrying u, as
     # (degree, continuous, derivative order)
     phi, dphi, psi = (p, True, 0), (p, True, 1), (p - 1, False, 0)
-    n_quad = n_quad if n_quad is not None else p + 2
+    n_quad = p + 2
     quad = gauss_legendre_rule(n_quad)
     t, h = mesh.cell_count, mesh.h
     total = 2 * p * t + 1
@@ -406,9 +401,7 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int, n_quad: int | None = N
         flavor="mixed",
         p=p,
         mesh=mesh,
-        spec=spec,
         complex_valued=spec.complex_valued,
-        n_quad=n_quad,
     )
 
 

@@ -1,10 +1,12 @@
 """Command line front end: sweeps, predictions, validation, calibration.
 
 Options come from flags, optionally seeded by a flat key=value file given
-with --config; flags win over file entries.  Nothing here draws random
-numbers, so repeated invocations with one configuration produce identical
-output bytes apart from lines prefixed '# timing', which carry wall-clock
-measurements.  All numeric output uses 17 significant digits so files
+with --config; flags win over file entries.  Each option's default and
+converter are declared once, in build_parser; file entries become defaults
+of the subcommand's parser, so they pass through the same converters.
+Nothing here draws random numbers, so repeated invocations with one
+configuration produce identical output bytes apart from lines prefixed
+'# timing', which carry wall-clock measurements.  All numeric output uses 17 significant digits so files
 round-trip exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -16,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from .calibration import sensitivity_suite
 from .error_analysis import beta_R, beta_T, variable_available
+from .mesh_basis import MAX_DEGREE
 from .prediction import (AlgorithmDefaults, PredictionResult, brute_force_sweep,
                          prediction_loop, solve_level)
 from .problem import CATALOG_NAMES, VARIABLES, catalog
@@ -56,26 +59,31 @@ def _parse_int(text: str, name: str) -> int:
         raise ConfigError(f"{name} expects an integer, got {text!r}") from None
 
 
+def _parse_degree(text: str) -> int:
+    value = _parse_int(text, "--p")
+    if value < 1:
+        raise ConfigError(f"degrees start at 1, got {value}")
+    if value > MAX_DEGREE:
+        raise ConfigError(f"degrees go up to {MAX_DEGREE}, got {value}")
+    return value
+
+
 def _parse_degrees(text: str) -> Tuple[int, ...]:
-    """Degree sets: '2', '1,3', '1..5', or any comma mix of the two forms."""
+    """Degree sets: '2', '1,3', '1..5', or any comma mix of the two forms.
+
+    Every number is bounded before a range is expanded, so no range holds
+    more than MAX_DEGREE entries and no degree fails after work has begun.
+    """
     out = []
     for token in str(text).split(","):
         token = token.strip()
         if not token:
             continue
-        if ".." in token:
-            lo, _, hi = token.partition("..")
-            lo_i = _parse_int(lo, "--p")
-            hi_i = _parse_int(hi, "--p")
-            out.extend(range(lo_i, hi_i + 1))
-        else:
-            out.append(_parse_int(token, "--p"))
-    degrees = tuple(sorted(set(out)))
-    if not degrees:
+        lo, dots, hi = token.partition("..")
+        out.extend(range(_parse_degree(lo), _parse_degree(hi if dots else lo) + 1))
+    if not out:
         raise ConfigError("the degree set is empty")
-    if degrees[0] < 1:
-        raise ConfigError(f"degrees start at 1, got {degrees[0]}")
-    return degrees
+    return tuple(sorted(set(out)))
 
 
 def _parse_variables(text: str) -> Tuple[str, ...]:
@@ -132,109 +140,30 @@ def _parse_config_file(path: str) -> Dict[str, str]:
     return entries
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one invocation; every run is seed free."""
-
-    subcommand: str
-    problem: str = ""
-    coefficient: Optional[float] = None
-    fem: str = "standard"
-    degrees: Tuple[int, ...] = (2,)
-    variables: Optional[Tuple[str, ...]] = ("u",)
-    tol_var: Optional[float] = None
-    solver: str = "lu"
-    tol_prm: float = 1e-10
-    scheme: str = "auto"
-    n_max: Optional[int] = 10**8
-    rise_streak: Optional[int] = 3
-    out_dir: str = "."
-    suite: str = ""
-    case: int = 1
-    tolerances: Tuple[float, ...] = (1e-10, 1e-4)
-    json_path: Optional[str] = None
-
-
-# per-subcommand option tables: dest -> (converter, fallback); converters see
-# raw strings from either the command line or the config file
-_COMMON = {
-    "problem": (str, ""),
-    "coefficient": (lambda t: _parse_float(t, "--coefficient"), None),
-    "fem": (lambda t: _choice(t, "--fem", _FLAVORS), "standard"),
-    "degrees": (_parse_degrees, (2,)),
-    "variables": (_parse_variables, ("u",)),
-    "solver": (lambda t: _choice(t, "--solver", _SOLVERS), "lu"),
-    "tol_prm": (lambda t: _parse_float(t, "--tol-prm"), 1e-10),
-    "scheme": (lambda t: _choice(t, "--scheme", _SCHEMES), "auto"),
-    "n_max": (lambda t: _parse_int(t, "--n-max"), 10**8),
-    "out_dir": (str, "."),
-}
-_OPTIONS = {
-    "sweep": dict(_COMMON, rise_streak=(_parse_streak, 3)),
-    "predict": dict(
-        _COMMON,
-        tol_var=(lambda t: _parse_float(t, "--tol"), None),
-        json_path=(str, None),
-    ),
-    "validate": dict(
-        _COMMON,
-        tol_var=(lambda t: _parse_float(t, "--tol"), None),
-        rise_streak=(_parse_streak, 3),
-    ),
-    "calibrate": {
-        "suite": (lambda t: _choice(t, "--suite", _SUITES), ""),
-        "case": (lambda t: _parse_int(t, "--case"), 1),
-        "fem": (lambda t: _choice(t, "--fem", _FLAVORS), "standard"),
-        "scheme": (lambda t: _choice(t, "--scheme", _SCHEMES), "auto"),
-        "variables": (_parse_variables, None),
-        "tolerances": (_parse_tolerance_list, (1e-10, 1e-4)),
-        "n_max": (lambda t: _parse_int(t, "--n-max"), None),
-        "rise_streak": (_parse_streak, None),
-        "out_dir": (str, "."),
-    },
-    "catalog": {},
-}
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    options = _OPTIONS[args.subcommand]
-    file_entries = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_entries) - set(options)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    resolved = {}
-    for dest, (convert, fallback) in options.items():
-        raw = getattr(args, dest, None)
-        if raw is None:
-            raw = file_entries.get(dest)
-        resolved[dest] = fallback if raw is None else convert(raw)
-    return RunConfig(subcommand=args.subcommand, **resolved)
-
-
-def _lookup_problem(config: RunConfig):
-    if not config.problem:
+def _lookup_problem(args: argparse.Namespace):
+    if not args.problem:
         raise ConfigError(
             f"a problem name is required; available: {', '.join(CATALOG_NAMES)}"
         )
-    return catalog(config.problem, config.coefficient)
+    return catalog(args.problem, args.coefficient)
 
 
-def _combos(config: RunConfig):
+def _combos(args: argparse.Namespace):
     """(p, var) product in stable order; unavailable pairs are warned away."""
     runnable, skipped = [], []
-    for p in config.degrees:
-        for var in config.variables:
-            target = runnable if variable_available(config.fem, var, p) else skipped
+    for p in args.degrees:
+        for var in args.variables:
+            target = runnable if variable_available(args.fem, var, p) else skipped
             target.append((p, var))
     for p, var in skipped:
-        print(f"warning: {var} is not defined for {config.fem} p={p}; skipping", file=sys.stderr)
+        print(f"warning: {var} is not defined for {args.fem} p={p}; skipping", file=sys.stderr)
     if not runnable:
         raise ConfigError("no runnable (degree, variable) combinations remain")
     return runnable
 
 
-def _out_dir(config: RunConfig) -> Path:
-    directory = Path(config.out_dir)
+def _out_dir(args: argparse.Namespace) -> Path:
+    directory = Path(args.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
@@ -243,26 +172,28 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    spec = _lookup_problem(config)
-    directory = _out_dir(config)
+def _sweep(spec, args: argparse.Namespace, p: int, var: str):
+    return brute_force_sweep(spec, args.fem, p, var, scheme=args.scheme, n_max=args.n_max,
+                             rise_streak=args.rise_streak, solver=args.solver,
+                             tol_prm=args.tol_prm)
+
+
+def _predict(spec, args: argparse.Namespace, p: int, var: str,
+             defaults: AlgorithmDefaults) -> PredictionResult:
+    return prediction_loop(spec, args.fem, p, var, tol_var=args.tol_var, defaults=defaults,
+                           scheme=args.scheme, solver=args.solver, tol_prm=args.tol_prm)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    spec = _lookup_problem(args)
+    directory = _out_dir(args)
     written = 0
-    for p, var in _combos(config):
-        curve = brute_force_sweep(
-            spec,
-            config.fem,
-            p,
-            var,
-            scheme=config.scheme,
-            n_max=config.n_max,
-            rise_streak=config.rise_streak,
-            solver=config.solver,
-            tol_prm=config.tol_prm,
-        )
-        path = directory / f"sweep_{spec.label}_{config.fem}_p{p}_{var}.csv"
+    for p, var in _combos(args):
+        curve = _sweep(spec, args, p, var)
+        path = directory / f"sweep_{spec.label}_{args.fem}_p{p}_{var}.csv"
         lines = [
-            f"# problem={spec.label} fem={config.fem} p={p} var={var} "
-            f"scheme={config.scheme} solver={config.solver} tol_prm={_fmt(config.tol_prm)}",
+            f"# problem={spec.label} fem={args.fem} p={p} var={var} "
+            f"scheme={args.scheme} solver={args.solver} tol_prm={_fmt(args.tol_prm)}",
             f"# estimator={curve[0].estimator}",
             "REF,N_h,E_h,rate",
         ]
@@ -273,7 +204,7 @@ def cmd_sweep(config: RunConfig) -> int:
         written += 1
         low = curve.locate_min()
         print(
-            f"sweep {config.fem} p={p} {var}: {len(curve)} levels -> {path}; "
+            f"sweep {args.fem} p={p} {var}: {len(curve)} levels -> {path}; "
             f"minimum E={low.value:.6e} at REF={low.refinement_level} N={low.n_dof}"
         )
     print(f"wrote {written} file(s) to {directory}")
@@ -306,24 +237,11 @@ def _verdict(reachable: Optional[bool]) -> str:
     return "-" if reachable is None else ("yes" if reachable else "no")
 
 
-def cmd_predict(config: RunConfig) -> int:
-    spec = _lookup_problem(config)
-    defaults = AlgorithmDefaults(n_max=config.n_max)
-    results = [
-        prediction_loop(
-            spec,
-            config.fem,
-            p,
-            var,
-            tol_var=config.tol_var,
-            defaults=defaults,
-            scheme=config.scheme,
-            solver=config.solver,
-            tol_prm=config.tol_prm,
-        )
-        for p, var in _combos(config)
-    ]
-    print(f"problem={spec.label} fem={config.fem}")
+def cmd_predict(args: argparse.Namespace) -> int:
+    spec = _lookup_problem(args)
+    defaults = AlgorithmDefaults(n_max=args.n_max)
+    results = [_predict(spec, args, p, var, defaults) for p, var in _combos(args)]
+    print(f"problem={spec.label} fem={args.fem}")
     print(f"{'p':>3} {'var':<4} {'status':<28} {'N_opt':>10} {'E_min':>13} {'reachable':>9}")
     for res in results:
         print(
@@ -331,8 +249,8 @@ def cmd_predict(config: RunConfig) -> int:
             f"{res.E_min:>13.3e} {_verdict(res.reachable):>9}"
         )
     payload = [_result_json(res, defaults) for res in results]
-    path = Path(config.json_path) if config.json_path else (
-        _out_dir(config) / f"predict_{spec.label}_{config.fem}.json"
+    path = Path(args.json_path) if args.json_path else (
+        _out_dir(args) / f"predict_{spec.label}_{args.fem}.json"
     )
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n", newline="\n")
@@ -340,60 +258,40 @@ def cmd_predict(config: RunConfig) -> int:
     return 0
 
 
-def _timed_optimal_solve(spec, config: RunConfig, result: PredictionResult) -> float:
+def _timed_optimal_solve(spec, args: argparse.Namespace, result: PredictionResult) -> float:
     """One solve on the predicted optimal mesh, timed; the PRED+ increment."""
     start = time.perf_counter()
     solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref, result.scheme,
-                result.factors, config.solver, config.tol_prm)
+                result.factors, args.solver, args.tol_prm)
     return time.perf_counter() - start
 
 
-def cmd_validate(config: RunConfig) -> int:
-    spec = _lookup_problem(config)
-    defaults = AlgorithmDefaults(n_max=config.n_max)
+def cmd_validate(args: argparse.Namespace) -> int:
+    spec = _lookup_problem(args)
+    defaults = AlgorithmDefaults(n_max=args.n_max)
     rows, timing_lines = [], []
-    print(f"problem={spec.label} fem={config.fem}")
+    print(f"problem={spec.label} fem={args.fem}")
     header = (
         f"{'p':>3} {'var':<4} {'E_min_pred':>12} {'E_min_bf':>12} "
         f"{'N_opt_pred':>11} {'N_opt_bf':>9} {'t_pred':>8} {'t_pred+':>8} {'t_bf':>8} {'saved':>7}"
     )
     print(header)
-    for p, var in _combos(config):
+    for p, var in _combos(args):
         start = time.perf_counter()
-        result = prediction_loop(
-            spec,
-            config.fem,
-            p,
-            var,
-            tol_var=config.tol_var,
-            defaults=defaults,
-            scheme=config.scheme,
-            solver=config.solver,
-            tol_prm=config.tol_prm,
-        )
+        result = _predict(spec, args, p, var, defaults)
         t_pred = time.perf_counter() - start
-        t_plus = t_pred + _timed_optimal_solve(spec, config, result)
+        t_plus = t_pred + _timed_optimal_solve(spec, args, result)
         start = time.perf_counter()
-        curve = brute_force_sweep(
-            spec,
-            config.fem,
-            p,
-            var,
-            scheme=config.scheme,
-            n_max=config.n_max,
-            rise_streak=config.rise_streak,
-            solver=config.solver,
-            tol_prm=config.tol_prm,
-        )
+        curve = _sweep(spec, args, p, var)
         t_bf = time.perf_counter() - start
         low = curve.locate_min()
         saved = 100.0 * (1.0 - t_plus / t_bf) if t_bf > 0 else float("nan")
         rows.append(
-            f"{config.fem},{p},{var},{result.status},{_fmt(result.E_min)},"
+            f"{args.fem},{p},{var},{result.status},{_fmt(result.E_min)},"
             f"{result.N_opt_mesh},{_fmt(low.value)},{low.n_dof}"
         )
         timing_lines.append(
-            f"# timing {config.fem} p={p} {var}: PRED {t_pred:.3f}s "
+            f"# timing {args.fem} p={p} {var}: PRED {t_pred:.3f}s "
             f"PRED+ {t_plus:.3f}s BF {t_bf:.3f}s saved {saved:.1f}%"
         )
         print(
@@ -401,11 +299,11 @@ def cmd_validate(config: RunConfig) -> int:
             f"{result.N_opt_mesh:>11} {low.n_dof:>9} {t_pred:>7.3f}s {t_plus:>7.3f}s "
             f"{t_bf:>7.3f}s {saved:>6.1f}%"
         )
-    directory = _out_dir(config)
-    path = directory / f"validate_{spec.label}_{config.fem}.csv"
+    directory = _out_dir(args)
+    path = directory / f"validate_{spec.label}_{args.fem}.csv"
     lines = [
-        f"# problem={spec.label} fem={config.fem} scheme={config.scheme} "
-        f"solver={config.solver} tol_prm={_fmt(config.tol_prm)}",
+        f"# problem={spec.label} fem={args.fem} scheme={args.scheme} "
+        f"solver={args.solver} tol_prm={_fmt(args.tol_prm)}",
         "fem,p,var,status,E_min_pred,N_opt_mesh,E_min_bf,N_opt_bf",
     ]
     _write_lines(path, lines + rows + timing_lines)
@@ -413,19 +311,19 @@ def cmd_validate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_calibrate(config: RunConfig) -> int:
-    if not config.suite:
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    if not args.suite:
         raise ConfigError(f"--suite is required; one of {', '.join(_SUITES)}")
     report = sensitivity_suite(
-        config.suite,
-        out_dir=str(_out_dir(config)),
-        case=config.case,
-        flavor=config.fem,
-        scheme=None if config.scheme == "auto" else config.scheme,
-        variables=config.variables,
-        tolerances=config.tolerances,
-        n_max=config.n_max,
-        rise_streak=config.rise_streak,
+        args.suite,
+        out_dir=str(_out_dir(args)),
+        case=args.case,
+        flavor=args.fem,
+        scheme=None if args.scheme == "auto" else args.scheme,
+        variables=args.variables,
+        tolerances=args.tolerances,
+        n_max=args.n_max,
+        rise_streak=args.rise_streak,
     )
     print(report.header())
     for run in report.runs:
@@ -441,7 +339,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_catalog(config: RunConfig) -> int:
+def cmd_catalog(args: argparse.Namespace) -> int:
     for name in CATALOG_NAMES:
         needs_c = name.startswith("case")
         spec = catalog(name, 1.0) if needs_c else catalog(name)
@@ -461,61 +359,86 @@ _DISPATCH = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fem-errbal",
         description="1D FEM error sweeps and attainable-accuracy prediction",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    fem = dict(type=partial(_choice, name="--fem", allowed=_FLAVORS), default="standard",
+               help="standard | mixed (default standard)")
+    scheme = dict(type=partial(_choice, name="--scheme", allowed=_SCHEMES), default="auto")
+    variables = dict(dest="variables", type=_parse_variables, help="comma list from u,ux,uxx")
+    n_max = partial(_parse_int, name="--n-max")
+    streak = dict(type=_parse_streak, default=3)
+    out_dir = dict(default=".", help="output directory (default .)")
+    config = dict(help="flat key=value file; flags override")
+    tol = dict(dest="tol_var", type=partial(_parse_float, name="--tol"),
+               help="target accuracy for the reachable verdict")
 
     def add_common(sp):
         sp.add_argument("--problem", help="catalog problem name")
-        sp.add_argument("--coefficient", help="coefficient for the case1..case5 families")
-        sp.add_argument("--fem", help="standard | mixed (default standard)")
-        sp.add_argument("--p", dest="degrees", help="degree set: '2', '1,3', or '1..5'")
-        sp.add_argument("--var", dest="variables", help="comma list from u,ux,uxx")
-        sp.add_argument("--solver", help="lu | cg | schur (default lu)")
-        sp.add_argument("--tol-prm", dest="tol_prm", help="iterative solver tolerance")
-        sp.add_argument("--scheme", help="scaling: auto | none | S | M1 | M2")
-        sp.add_argument("--n-max", dest="n_max", help="DoF cap")
-        sp.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-        sp.add_argument("--config", help="flat key=value file; flags override")
+        sp.add_argument("--coefficient", type=partial(_parse_float, name="--coefficient"),
+                        help="coefficient for the case1..case5 families")
+        sp.add_argument("--fem", **fem)
+        sp.add_argument("--p", dest="degrees", type=_parse_degrees, default=(2,),
+                        help="degree set: '2', '1,3', or '1..5'")
+        sp.add_argument("--var", **variables, default=("u",))
+        sp.add_argument("--solver", type=partial(_choice, name="--solver", allowed=_SOLVERS),
+                        default="lu", help="lu | cg | schur (default lu)")
+        sp.add_argument("--tol-prm", type=partial(_parse_float, name="--tol-prm"), default=1e-10,
+                        help="iterative solver tolerance")
+        sp.add_argument("--scheme", **scheme, help="scaling: auto | none | S | M1 | M2")
+        sp.add_argument("--n-max", type=n_max, default=10**8, help="DoF cap")
+        sp.add_argument("--out-dir", **out_dir)
+        sp.add_argument("--config", **config)
 
     sp = sub.add_parser("sweep", help="measure the full error curve per (p, var)")
     add_common(sp)
-    sp.add_argument("--rise-streak", dest="rise_streak", help="stop after this many rises, or 'none'")
+    sp.add_argument("--rise-streak", **streak, help="stop after this many rises, or 'none'")
 
     sp = sub.add_parser("predict", help="predict attainable accuracy from coarse refinements")
     add_common(sp)
-    sp.add_argument("--tol", dest="tol_var", help="target accuracy for the reachable verdict")
+    sp.add_argument("--tol", **tol)
     sp.add_argument("--json", dest="json_path", help="JSON output path")
 
     sp = sub.add_parser("validate", help="prediction versus brute force, with timings")
     add_common(sp)
-    sp.add_argument("--tol", dest="tol_var", help="target accuracy for the reachable verdict")
-    sp.add_argument("--rise-streak", dest="rise_streak", help="brute-force stop streak, or 'none'")
+    sp.add_argument("--tol", **tol)
+    sp.add_argument("--rise-streak", **streak, help="brute-force stop streak, or 'none'")
 
     sp = sub.add_parser("calibrate", help="round-off floor sensitivity suites")
-    sp.add_argument("--suite", help="solver | magnitude | boundary")
-    sp.add_argument("--case", help="coefficient family for the magnitude suite")
-    sp.add_argument("--fem", help="standard | mixed (default standard)")
-    sp.add_argument("--scheme", help="scaling override; default per-variable")
-    sp.add_argument("--var", dest="variables", help="comma list from u,ux,uxx")
-    sp.add_argument("--tol-prm", dest="tolerances", help="comma list of iterative tolerances")
-    sp.add_argument("--n-max", dest="n_max", help="DoF cap override")
-    sp.add_argument("--rise-streak", dest="rise_streak", help="stop streak override, or 'none'")
-    sp.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    sp.add_argument("--config", help="flat key=value file; flags override")
+    sp.add_argument("--suite", type=partial(_choice, name="--suite", allowed=_SUITES),
+                    help="solver | magnitude | boundary")
+    sp.add_argument("--case", type=partial(_parse_int, name="--case"), default=1,
+                    help="coefficient family for the magnitude suite")
+    sp.add_argument("--fem", **fem)
+    sp.add_argument("--scheme", **scheme, help="scaling override; default per-variable")
+    sp.add_argument("--var", **variables)
+    sp.add_argument("--tol-prm", dest="tolerances", type=_parse_tolerance_list,
+                    default=(1e-10, 1e-4), help="comma list of iterative tolerances")
+    sp.add_argument("--n-max", type=n_max, help="DoF cap override")
+    sp.add_argument("--rise-streak", type=_parse_streak, help="stop streak override, or 'none'")
+    sp.add_argument("--out-dir", **out_dir)
+    sp.add_argument("--config", **config)
 
-    sp = sub.add_parser("catalog", help="list the built-in problems")
-    return parser
+    sub.add_parser("catalog", help="list the built-in problems")
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, subparsers = build_parser()
     try:
-        config = _resolve(args)
-        return _DISPATCH[config.subcommand](config)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            entries = _parse_config_file(args.config)
+            unknown = set(entries) - (set(vars(args)) - {"config", "subcommand"})
+            if unknown:
+                raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+            subparsers[args.subcommand].set_defaults(**entries)
+            args = parser.parse_args(argv)
+        return _DISPATCH[args.subcommand](args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

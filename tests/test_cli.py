@@ -52,7 +52,7 @@ class TestOptionParsing:
         assert _parse_degrees("2,2") == (2,)
 
     def test_degree_spec_errors(self):
-        for bad in ("", "0", "a", "2..x"):
+        for bad in ("", "0", "a", "2..x", "21", "1..21", "25..30"):
             with pytest.raises(ConfigError):
                 _parse_degrees(bad)
 
@@ -276,9 +276,37 @@ class TestConfigFileMerge:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem=bench-poisson\nmesh_flavor=exotic\n")
+        # config and subcommand are parser bookkeeping, not options
+        for key in ("mesh_flavor", "config", "subcommand"):
+            cfg.write_text(f"problem=bench-poisson\n{key}=exotic\n")
+            assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+            assert f"unknown config key(s): {key}" in capsys.readouterr().err
+
+    def test_bad_file_value_is_checked_unless_a_flag_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=bench-poisson\ndegrees=2\nvariables=u\nn_max=abc\n")
         assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --n-max expects an integer, got 'abc'\n"
+        # with the flag given, the file value is never converted
+        code = main(
+            ["sweep", "--config", str(cfg), "--n-max", "600", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        lines = (tmp_path / "sweep_bench-poisson_standard_p2_u.csv").read_text().splitlines()
+        # the 600 cap stops the sweep at the first level above it
+        assert lines[-1].split(",")[1] == "1025"
+
+    def test_calibrate_reads_its_own_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite=solver\nvariables=u\nn_max=3000\nrise_streak=3\n")
+        assert main(["calibrate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        assert "configurations=3" in capsys.readouterr().out
+        for name in (
+            "solver-lu_standard_2_u.csv",
+            "solver-cg-1e-10_standard_2_u.csv",
+            "solver-cg-1e-04_standard_2_u.csv",
+        ):
+            assert (tmp_path / name).exists()
 
 
 class TestExitCodes:
