@@ -11,8 +11,7 @@ becomes the 2x2 block [[a, -b], [b, a]].
 Weak statements, with n the outward normal and (.,.) the L2 pairing:
 
   standard:  -(eta_x, D u_x) + (eta, r u) = (eta, f) - (eta, D h n)_GN
-             Dirichlet either strong (identity row + symmetric column purge)
-             or weak with penalty rho.
+             Dirichlet data strong: identity row + symmetric column purge.
   mixed:     v = -u_x;  (w, v) - (w_x, u) = -(w, g n)_GD
              -(q, D_x v) - (q, D v_x) + (q, r u) = (q, f)
              Neumann data enters the v-space strongly (v = -h), Dirichlet data
@@ -37,10 +36,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_basis import LagrangeBasis, Mesh, basis_table, gauss_legendre_rule, reference_integral
+from .mesh_basis import Mesh, basis_table, gauss_legendre_rule, reference_integral
 from .problem import ProblemSpec
-
-DEFAULT_PENALTY = 1e6
 
 
 class BandedMatrix:
@@ -276,15 +273,7 @@ def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple
 
 # --- standard formulation ------------------------------------------------------
 
-def assemble_standard(
-    spec: ProblemSpec,
-    mesh: Mesh,
-    p: int,
-    dirichlet_mode: str = "strong",
-    penalty: float = DEFAULT_PENALTY,
-) -> LinearSystem:
-    if dirichlet_mode not in ("strong", "weak"):
-        raise ValueError(f"unknown Dirichlet mode {dirichlet_mode!r}")
+def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     n_quad = p + 2
     quad = gauss_legendre_rule(n_quad)
     t, h = mesh.cell_count, mesh.h
@@ -308,28 +297,16 @@ def assemble_standard(
     for i in local:
         rhs[i : i + p * t : p] += fe[:, i]
 
-    # boundary terms; basis values at the endpoints are exact Kronecker deltas
-    strong: list[tuple[int, complex]] = []
-    for bc in (spec.bc_left, spec.bc_right):
-        x0, n = bc.location, bc.normal
-        bdof = 0 if bc.side == "left" else m - 1
-        cell_dofs = np.arange(p + 1) + (0 if bc.side == "left" else m - 1 - p)
+    # boundary terms; basis values at the endpoints are exact Kronecker deltas.
+    # Neumann loads go in before any Dirichlet elimination touches the rhs
+    ends = [(bc, 0 if bc.side == "left" else m - 1) for bc in (spec.bc_left, spec.bc_right)]
+    for bc, bdof in ends:
         if bc.kind == "neumann":
-            rhs[bdof] -= np.asarray(spec.D(np.array([x0])), dtype=dtype)[0] * bc.value * n
-            continue
-        if dirichlet_mode == "strong":
-            strong.append((bdof, bc.value))
-            continue
-        d_here = np.asarray(spec.D(np.array([x0])), dtype=dtype)[0]
-        dvals = LagrangeBasis(p).eval(np.array([x0]), 1)[0] / h
-        mat.add_at(np.full(p + 1, bdof), cell_dofs, n * d_here * dvals)
-        mat.add_at(cell_dofs, np.full(p + 1, bdof), -n * dvals)
-        mat.add_at(np.array([bdof]), np.array([bdof]), np.array([n * penalty]))
-        rhs[cell_dofs] += -n * bc.value * dvals
-        rhs[bdof] += n * penalty * bc.value
-
-    for bdof, value in strong:
-        eliminate_dirichlet(mat, rhs, bdof, value)
+            d_here = np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0]
+            rhs[bdof] -= d_here * bc.value * bc.normal
+    for bc, bdof in ends:
+        if bc.kind == "dirichlet":
+            eliminate_dirichlet(mat, rhs, bdof, bc.value)
 
     if spec.complex_valued:
         mat, rhs = split_complex(mat, rhs)

@@ -4,8 +4,11 @@ fit_floor reads the round-off branch of an error curve: ordinary least
 squares of log10 E against log10 N over the records after the curve minimum.
 The minimum itself is excluded; it sits in the truncation/round-off
 crossover, not on the floor.  The sensitivity suites re-measure the floors
-across solver settings, solution magnitudes, and boundary-condition types,
-writing one CSV per configuration.
+across solver settings, solution magnitudes, and boundary-condition types.
+Each suite is a list of configurations (problem, file token, label, flavor,
+degree, variable, scheme, solver, tolerance) that one loop runs: a
+brute-force sweep, a floor fit (a failed fit becomes the run's note), and
+optionally one CSV per configuration.
 
 Free-slope intercepts are extrapolations to N = 1, so they are only
 comparable between curves fitted over the same DoF window.  The magnitude
@@ -22,20 +25,17 @@ import dataclasses
 import platform
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .error_analysis import ErrorCurve
-from .prediction import brute_force_sweep, default_scheme, exact_norm_factors
+from .error_analysis import ErrorCurve, write_curve_csv
+from .prediction import brute_force_sweep, default_scheme
 from .problem import BoundaryCondition, ProblemSpec, catalog
 
 # one shared cap per flavor, deep enough that even a late crossover leaves
 # several records on the floor; no streak stop, so all windows end together
-_SWEEP_DEPTH = {
-    "standard": dict(n_max=9_000_000, rise_streak=None),
-    "mixed": dict(n_max=800_000, rise_streak=None),
-}
+_SWEEP_CAP = {"standard": 9_000_000, "mixed": 800_000}
 # the magnitude study uses these fixed degrees
 _MAGNITUDE_P = {"standard": 2, "mixed": 4}
 _COEFF_GRID = {
@@ -142,156 +142,67 @@ class CalibrationReport:
         return f"suite={self.suite} cpu={self.cpu} configurations={len(self.runs)}"
 
 
-def _write_run_csv(directory: Path, token: str, run: CalibrationRun, cpu: str) -> str:
-    path = directory / f"{token}_{run.flavor}_{run.p}_{run.var}.csv"
+def _csv_comments(run: CalibrationRun, cpu: str) -> List[str]:
     lines = [
-        f"# suite={run.suite} label={run.label} problem={run.problem}",
-        f"# flavor={run.flavor} p={run.p} var={run.var} solver={run.solver} "
+        f"suite={run.suite} label={run.label} problem={run.problem}",
+        f"flavor={run.flavor} p={run.p} var={run.var} solver={run.solver} "
         f"tol_prm={run.tol_prm:.17g} scheme={run.scheme}",
-        f"# cpu={cpu}",
+        f"cpu={cpu}",
     ]
     if run.fit is not None:
         lines.append(
-            f"# alpha_R_hat={run.fit.alpha_R_hat:.17g} "
-            f"beta_R_hat={run.fit.beta_R_hat:.17g} "
+            f"alpha_R_hat={run.fit.alpha_R_hat:.17g} beta_R_hat={run.fit.beta_R_hat:.17g} "
             f"point_count={run.fit.point_count} residual={run.fit.residual:.17g}"
         )
     elif run.note:
-        lines.append(f"# note={run.note}")
-    lines.append("REF,N_h,E_h,rate")
-    for rec in run.curve.records:
-        rate = float("nan") if rec.observed_rate is None else rec.observed_rate
-        lines.append(f"{rec.refinement_level},{rec.n_dof},{rec.value:.17g},{rate:.17g}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return str(path)
+        lines.append(f"note={run.note}")
+    return lines
 
 
-def _measured_run(
-    suite: str,
-    token: str,
-    label: str,
-    spec: ProblemSpec,
-    flavor: str,
-    p: int,
-    var: str,
-    scheme: str,
-    factors: Dict[str, float],
-    solver: str,
-    tol_prm: float,
-    n_max: int,
-    rise_streak: Optional[int],
-    out_dir: Optional[Path],
-    cpu: str,
-) -> CalibrationRun:
-    curve = brute_force_sweep(
-        spec,
-        flavor,
-        p,
-        var,
-        scheme=scheme,
-        factors=factors,
-        n_max=n_max,
-        rise_streak=rise_streak,
-        solver=solver,
-        tol_prm=tol_prm,
-    )
-    try:
-        fit, note = fit_floor(curve), ""
-    except ValueError as err:
-        fit, note = None, str(err)
-    run = CalibrationRun(
-        suite=suite,
-        label=label,
-        problem=spec.label,
-        flavor=flavor,
-        p=p,
-        var=var,
-        solver=solver,
-        tol_prm=tol_prm,
-        scheme=scheme,
-        curve=curve,
-        fit=fit,
-        note=note,
-    )
-    if out_dir is not None:
-        run.csv_path = _write_run_csv(out_dir, token, run, cpu)
-    return run
+# rise_streak default of sensitivity_suite: the suite's own stop rule, a
+# streak of 4 for 'solver' and none for the others; None always walks to the cap
+SUITE_STREAK = object()
 
 
-def _solver_suite(
-    out_dir: Optional[Path],
-    cpu: str,
-    tolerances: Sequence[float],
-    variables: Sequence[str],
-    n_max: int,
-    rise_streak: int,
-) -> List[CalibrationRun]:
+def _solver_configs(tolerances: Sequence[float], variables: Sequence[str]) -> List[tuple]:
     spec = catalog("bench-poisson")
-    factors = exact_norm_factors(spec, "S")
-    configs: List[Tuple[str, float, str, str]] = [("lu", 1e-10, "lu", "direct")]
-    for tol in tolerances:
-        configs.append(("cg", float(tol), f"cg-{tol:.0e}", f"cg tol_prm={tol:g}"))
-    runs = []
-    for solver, tol, tag, label in configs:
-        for var in variables:
-            runs.append(
-                _measured_run(
-                    "solver", f"solver-{tag}", label, spec, "standard", 2, var,
-                    "S", factors, solver, tol, n_max, rise_streak, out_dir, cpu,
-                )
-            )
-    return runs
-
-
-def _swept_runs(
-    suite: str,
-    cases: Sequence[Tuple[ProblemSpec, str, str]],
-    flavor: str,
-    scheme: Optional[str],
-    variables: Sequence[str],
-    n_max: Optional[int],
-    rise_streak: Optional[int],
-    out_dir: Optional[Path],
-    cpu: str,
-) -> List[CalibrationRun]:
-    """One LU curve per (spec, token, label) case and variable, at the flavor's depth.
-
-    '{scheme}' in a token or label stands for the variable's scaling scheme.
-    """
-    if flavor not in _MAGNITUDE_P:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    p = _MAGNITUDE_P[flavor]
-    depth = _SWEEP_DEPTH[flavor]
-    cap = n_max if n_max is not None else depth["n_max"]
-    streak = rise_streak if rise_streak is not None else depth["rise_streak"]
-    runs = []
-    for spec, token, label in cases:
-        for var in variables:
-            var_scheme = scheme if scheme is not None else default_scheme(flavor, var)
-            factors = exact_norm_factors(spec, var_scheme)
-            runs.append(
-                _measured_run(
-                    suite, token.format(scheme=var_scheme), label.format(scheme=var_scheme),
-                    spec, flavor, p, var, var_scheme, factors,
-                    "lu", 1e-10, cap, streak, out_dir, cpu,
-                )
-            )
-    return runs
-
-
-def _magnitude_cases(case: int) -> List[Tuple[ProblemSpec, str, str]]:
-    if case not in _COEFF_GRID:
-        raise ValueError(f"magnitude study covers cases 1..5, got {case}")
+    solvers = [("lu", 1e-10, "lu", "direct")] + [
+        ("cg", float(tol), f"cg-{tol:.0e}", f"cg tol_prm={tol:g}") for tol in tolerances
+    ]
     return [
-        (catalog(f"case{case}", coefficient=float(c)),
-         f"magnitude-case{case}-c{c:.0e}-{{scheme}}", f"case{case} c={c:g} scheme={{scheme}}")
-        for c in _COEFF_GRID[case]
+        (spec, f"solver-{tag}", label, "standard", 2, var, "S", solver, tol)
+        for solver, tol, tag, label in solvers
+        for var in variables
     ]
 
 
-def _boundary_cases() -> List[Tuple[ProblemSpec, str, str]]:
-    pairs = [("boundary-dd", catalog("bench-poisson")), ("boundary-dn", poisson_neumann_variant())]
-    return [(spec, token, spec.label) for token, spec in pairs]
+def _lu_configs(kind: str, case: int, flavor: str, scheme: Optional[str],
+                variables: Sequence[str]) -> List[tuple]:
+    """One LU configuration per (spec, token, label) case and variable.
+
+    '{scheme}' in a token or label stands for the variable's scaling scheme.
+    """
+    if kind == "magnitude":
+        if case not in _COEFF_GRID:
+            raise ValueError(f"magnitude study covers cases 1..5, got {case}")
+        cases = [
+            (catalog(f"case{case}", coefficient=float(c)),
+             f"magnitude-case{case}-c{c:.0e}-{{scheme}}", f"case{case} c={c:g} scheme={{scheme}}")
+            for c in _COEFF_GRID[case]
+        ]
+    else:
+        pairs = [("boundary-dd", catalog("bench-poisson")),
+                 ("boundary-dn", poisson_neumann_variant())]
+        cases = [(spec, token, spec.label) for token, spec in pairs]
+    if flavor not in _MAGNITUDE_P:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    configs = []
+    for spec, token, label in cases:
+        for var in variables:
+            var_scheme = scheme if scheme is not None else default_scheme(flavor, var)
+            configs.append((spec, token.format(scheme=var_scheme), label.format(scheme=var_scheme),
+                            flavor, _MAGNITUDE_P[flavor], var, var_scheme, "lu", 1e-10))
+    return configs
 
 
 def sensitivity_suite(
@@ -303,30 +214,47 @@ def sensitivity_suite(
     variables: Optional[Sequence[str]] = None,
     tolerances: Sequence[float] = (1e-10, 1e-4),
     n_max: Optional[int] = None,
-    rise_streak: Optional[int] = None,
+    rise_streak=SUITE_STREAK,
 ) -> CalibrationReport:
     """Measure floor fits across one axis of variation and export the curves.
 
     kind 'solver' compares direct and iterative solves at the given tolerance
     list; 'magnitude' walks the coefficient grid of the selected catalog case;
     'boundary' compares the essential/essential benchmark against its
-    essential/natural variant.  With out_dir set, each configuration writes
-    one CSV and the run records its path.
+    essential/natural variant.  n_max and rise_streak override the suite's
+    cap and stop rule.  With out_dir set, each configuration writes one CSV
+    and the run records its path.
     """
+    if kind == "solver":
+        used = tuple(variables) if variables is not None else ("u", "ux")
+        configs = _solver_configs(tolerances, used)
+        cap, streak = 20000, 4
+    elif kind in ("magnitude", "boundary"):
+        used = tuple(variables) if variables is not None else ("u", "ux", "uxx")
+        configs = _lu_configs(kind, case, flavor, scheme, used)
+        cap, streak = _SWEEP_CAP[flavor], None
+    else:
+        raise ValueError(f"unknown suite kind {kind!r}")
+    cap = n_max if n_max is not None else cap
+    streak = rise_streak if rise_streak is not SUITE_STREAK else streak
     directory = None
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
     cpu = cpu_identifier()
-    if kind == "solver":
-        used = tuple(variables) if variables is not None else ("u", "ux")
-        cap = n_max if n_max is not None else 20000
-        streak = rise_streak if rise_streak is not None else 4
-        runs = _solver_suite(directory, cpu, tolerances, used, cap, streak)
-    elif kind in ("magnitude", "boundary"):
-        cases = _magnitude_cases(case) if kind == "magnitude" else _boundary_cases()
-        used = tuple(variables) if variables is not None else ("u", "ux", "uxx")
-        runs = _swept_runs(kind, cases, flavor, scheme, used, n_max, rise_streak, directory, cpu)
-    else:
-        raise ValueError(f"unknown suite kind {kind!r}")
+    runs = []
+    for spec, token, label, flv, p, var, var_scheme, solver, tol_prm in configs:
+        curve = brute_force_sweep(spec, flv, p, var, scheme=var_scheme, n_max=cap,
+                                  rise_streak=streak, solver=solver, tol_prm=tol_prm)
+        try:
+            fit, note = fit_floor(curve), ""
+        except ValueError as err:
+            fit, note = None, str(err)
+        run = CalibrationRun(suite=kind, label=label, problem=spec.label, flavor=flv, p=p,
+                             var=var, solver=solver, tol_prm=tol_prm, scheme=var_scheme,
+                             curve=curve, fit=fit, note=note)
+        if directory is not None:
+            run.csv_path = str(directory / f"{token}_{flv}_{p}_{var}.csv")
+            write_curve_csv(run.csv_path, _csv_comments(run, cpu), curve)
+        runs.append(run)
     return CalibrationReport(suite=kind, cpu=cpu, runs=runs)

@@ -24,8 +24,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .calibration import sensitivity_suite
-from .error_analysis import beta_R, beta_T, variable_available
+from .calibration import SUITE_STREAK, sensitivity_suite
+from .error_analysis import beta_R, beta_T, variable_available, write_curve_csv
 from .mesh_basis import MAX_DEGREE
 from .prediction import (AlgorithmDefaults, PredictionResult, brute_force_sweep,
                          prediction_loop, solve_level)
@@ -168,10 +168,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return directory
 
 
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
 def _sweep(spec, args: argparse.Namespace, p: int, var: str):
     return brute_force_sweep(spec, args.fem, p, var, scheme=args.scheme, n_max=args.n_max,
                              rise_streak=args.rise_streak, solver=args.solver,
@@ -191,16 +187,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for p, var in _combos(args):
         curve = _sweep(spec, args, p, var)
         path = directory / f"sweep_{spec.label}_{args.fem}_p{p}_{var}.csv"
-        lines = [
-            f"# problem={spec.label} fem={args.fem} p={p} var={var} "
+        write_curve_csv(path, [
+            f"problem={spec.label} fem={args.fem} p={p} var={var} "
             f"scheme={args.scheme} solver={args.solver} tol_prm={_fmt(args.tol_prm)}",
-            f"# estimator={curve[0].estimator}",
-            "REF,N_h,E_h,rate",
-        ]
-        for rec in curve:
-            rate = float("nan") if rec.observed_rate is None else rec.observed_rate
-            lines.append(f"{rec.refinement_level},{rec.n_dof},{_fmt(rec.value)},{_fmt(rate)}")
-        _write_lines(path, lines)
+            f"estimator={curve[0].estimator}",
+        ], curve)
         written += 1
         low = curve.locate_min()
         print(
@@ -306,7 +297,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"solver={args.solver} tol_prm={_fmt(args.tol_prm)}",
         "fem,p,var,status,E_min_pred,N_opt_mesh,E_min_bf,N_opt_bf",
     ]
-    _write_lines(path, lines + rows + timing_lines)
+    path.write_text("\n".join(lines + rows + timing_lines) + "\n", newline="\n")
     print(f"wrote {path}")
     return 0
 
@@ -419,7 +410,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     sp.add_argument("--tol-prm", dest="tolerances", type=_parse_tolerance_list,
                     default=(1e-10, 1e-4), help="comma list of iterative tolerances")
     sp.add_argument("--n-max", type=n_max, help="DoF cap override")
-    sp.add_argument("--rise-streak", type=_parse_streak, help="stop streak override, or 'none'")
+    sp.add_argument("--rise-streak", type=_parse_streak, default=SUITE_STREAK,
+                    help="stop streak override, or 'none'")
     sp.add_argument("--out-dir", **out_dir)
     sp.add_argument("--config", **config)
 

@@ -3,18 +3,20 @@
 Solutions come back as coefficient vectors; this module turns them into
 evaluable piecewise-polynomial views of u, u_x and u_xx, measures L2 errors
 against exact solutions or once-refined solves, and tracks error curves over
-refinement ladders.  For mixed systems the derivative fields come from the
-gradient unknown, u_x = -v and u_xx = -v_x.  When a magnitude scaling scheme
-was applied, solved coefficients are the scaled unknowns; errors are measured
-in the scaled frame (exact values divided by the variable's factor) so the
-round-off floor offsets stay magnitude-independent; multiplying a view's
-values by its scale_factor gives the physical frame back.
+refinement ladders and writes them as CSV.  For mixed systems the derivative
+fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  When a
+magnitude scaling scheme was applied, solved coefficients are the scaled
+unknowns; errors are measured in the scaled frame (exact values divided by
+the variable's factor) so the round-off floor offsets stay
+magnitude-independent; multiplying a view's values by its scale_factor gives
+the physical frame back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -207,16 +209,28 @@ class ErrorCurve:
         return self.records[self.min_index + 1 :]
 
 
-def l2_norm(field, mesh: Optional[Mesh] = None, n_quad: Optional[int] = None) -> float:
-    """Composite-Gauss L2 norm of a FieldView or a plain callable on [0, 1]."""
+def write_curve_csv(path: str | Path, comment_lines: Sequence[str], curve: ErrorCurve) -> None:
+    """Write '# '-prefixed comment lines, then one REF,N_h,E_h,rate row per record.
+
+    Values carry 17 significant digits so they round-trip; a missing rate is nan.
+    """
+    lines = [f"# {line}" for line in comment_lines] + ["REF,N_h,E_h,rate"]
+    for rec in curve:
+        rate = float("nan") if rec.observed_rate is None else rec.observed_rate
+        lines.append(f"{rec.refinement_level},{rec.n_dof},{rec.value:.17g},{rate:.17g}")
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def l2_norm(field) -> float:
+    """Composite-Gauss L2 norm of a FieldView, or of a plain callable on [0, 1]."""
     if isinstance(field, FieldView):
-        n_quad = n_quad if n_quad is not None else field.fem_degree + 4
+        n_quad = field.fem_degree + 4
         rule = gauss_legendre_rule(n_quad)
         vals = field.eval_on_cells(n_quad)
         h = field.mesh.h
     else:
-        mesh = mesh if mesh is not None else build_mesh(8)
-        rule = gauss_legendre_rule(n_quad if n_quad is not None else 10)
+        mesh = build_mesh(8)
+        rule = gauss_legendre_rule(10)
         x_q = (np.arange(mesh.cell_count)[:, None] + rule.points[None, :]) * mesh.h
         vals = np.asarray(field(x_q))
         h = mesh.h
@@ -224,9 +238,9 @@ def l2_norm(field, mesh: Optional[Mesh] = None, n_quad: Optional[int] = None) ->
     return float(np.sqrt(h * np.sum(sq @ rule.weights)))
 
 
-def error_exact(field: FieldView, spec: ProblemSpec, n_quad: Optional[int] = None) -> ErrorRecord:
+def error_exact(field: FieldView, spec: ProblemSpec) -> ErrorRecord:
     """E_h = ||var_h - var_exc|| by per-cell quadrature, in the field's frame."""
-    n_quad = n_quad if n_quad is not None else field.fem_degree + 4
+    n_quad = field.fem_degree + 4
     rule = gauss_legendre_rule(n_quad)
     t, h = field.mesh.cell_count, field.mesh.h
     x_q = (np.arange(t)[:, None] + rule.points[None, :]) * h
@@ -241,7 +255,7 @@ def error_exact(field: FieldView, spec: ProblemSpec, n_quad: Optional[int] = Non
     )
 
 
-def error_refined(coarse: FieldView, fine: FieldView, n_quad: Optional[int] = None) -> ErrorRecord:
+def error_refined(coarse: FieldView, fine: FieldView) -> ErrorRecord:
     """Estimator ||var_h - var_{h/2}||, integrated on the finer mesh.
 
     Nested dyadic meshes make the cell lookup exact: fine cell d sits in coarse
@@ -251,7 +265,7 @@ def error_refined(coarse: FieldView, fine: FieldView, n_quad: Optional[int] = No
         raise ValueError("estimator needs solves on adjacent refinement levels")
     if (coarse.var, coarse.flavor, coarse.fem_degree) != (fine.var, fine.flavor, fine.fem_degree):
         raise ValueError("estimator needs the same variable, flavor, and degree")
-    n_quad = n_quad if n_quad is not None else fine.fem_degree + 4
+    n_quad = fine.fem_degree + 4
     rule = gauss_legendre_rule(n_quad)
     fine_vals = fine.eval_on_cells(n_quad)
     coarse_vals = np.empty_like(fine_vals)

@@ -377,7 +377,6 @@ def brute_force_sweep(
     flavor: str,
     p: int,
     var: str,
-    defaults: Optional[AlgorithmDefaults] = None,
     scheme: str = "auto",
     factors: Optional[Dict[str, float]] = None,
     n_max: Optional[int] = None,
@@ -393,9 +392,10 @@ def brute_force_sweep(
     past the minimum.  rise_streak=None always walks to the cap, giving every
     curve the same window; floors are noisy enough that a dip can reset the
     streak, so cap-bound runs are the reproducible choice.  A NaN or inf error
-    value raises RuntimeError at once.
+    value raises RuntimeError at once.  Without n_max the cap is
+    AlgorithmDefaults().n_max.
     """
-    defaults = defaults if defaults is not None else AlgorithmDefaults()
+    defaults = AlgorithmDefaults()
     if not variable_available(flavor, var, p):
         raise ValueError(f"{var} is not available for {flavor} degree {p}")
     if scheme == "auto":

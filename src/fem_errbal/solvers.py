@@ -98,6 +98,8 @@ def lu_banded_solve(system: LinearSystem) -> SolveReport:
 
 
 def _definiteness_sign(mat: BandedMatrix, active: np.ndarray) -> float:
+    if not np.any(active):
+        return 1.0  # no free unknowns: nothing to probe, and CG has nothing to do
     rng = np.random.default_rng(_PROBE_SEED)
     signs = []
     for _ in range(_PROBE_COUNT):
@@ -119,9 +121,11 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return x, 0, 0.0
-    p = r.copy()
     rs = np.dot(r, r)
     threshold = tol * b_norm
+    if np.sqrt(rs) <= threshold:  # the seed already solves it, e.g. no free unknowns
+        return x, 0, float(np.sqrt(rs) / b_norm)
+    p = r.copy()
     for k in range(1, max_iter + 1):
         ap = matvec(p)
         denom = np.dot(p, ap)
@@ -164,7 +168,7 @@ def cg_solve(system: LinearSystem, tol_prm: float, max_iter: int | None = None) 
     return SolveReport(x=x, method="cg", iterations=iters, rel_residual=float(res), wall_time=elapsed)
 
 
-def schur_solve(system: LinearSystem, outer_tol: float = 1e-10, max_iter: int | None = None) -> SolveReport:
+def schur_solve(system: LinearSystem, outer_tol: float = 1e-10) -> SolveReport:
     """Segregated solve of the real mixed saddle system.
 
     Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
@@ -189,8 +193,7 @@ def schur_solve(system: LinearSystem, outer_tol: float = 1e-10, max_iter: int | 
     def s_matvec(w):
         return c_mat @ m_solve(b_mat @ w)
 
-    max_iter = max_iter if max_iter is not None else 10 * len(rhs_outer)
-    u, iters, res = _cg_core(s_matvec, rhs_outer, outer_tol, max_iter, stage="outer-cg")
+    u, iters, res = _cg_core(s_matvec, rhs_outer, outer_tol, 10 * len(rhs_outer), stage="outer-cg")
     v = m_solve(blocks.G - b_mat @ u)
 
     p, t = system.p, system.mesh.cell_count

@@ -7,7 +7,6 @@ keeps, so the package itself needs no dense or inspection API.
 import numpy as np
 
 from fem_errbal.assembly import (
-    DEFAULT_PENALTY,
     BandedMatrix,
     _cell_dofs,
     _cell_integrals,
@@ -16,7 +15,7 @@ from fem_errbal.assembly import (
     mixed_v_positions,
     split_complex,
 )
-from fem_errbal.mesh_basis import LagrangeBasis, basis_table, gauss_legendre_rule, reference_integral
+from fem_errbal.mesh_basis import basis_table, gauss_legendre_rule, reference_integral
 
 
 def _dense(ab: np.ndarray, r0: int) -> np.ndarray:
@@ -63,7 +62,7 @@ def _scatter(mat: BandedMatrix, row_dofs: np.ndarray, col_dofs: np.ndarray, valu
     mat.add_at(rows.ravel(), cols.ravel(), np.broadcast_to(values, shape).ravel())
 
 
-def add_at_assembly(spec, mesh, p: int, flavor: str, dirichlet_mode: str = "strong"):
+def add_at_assembly(spec, mesh, p: int, flavor: str):
     """(ab, rhs) of `assemble_standard` or `assemble_mixed`, with every cell
     block and load vector scattered by np.add.at over global index tables,
     the way the package assembled them before it used strided slices."""
@@ -89,25 +88,13 @@ def add_at_assembly(spec, mesh, p: int, flavor: str, dirichlet_mode: str = "stro
         _scatter(mat, gdof, gdof, ke)
         rhs = np.zeros(m, dtype=dtype)
         np.add.at(rhs, gdof.ravel(), fe.ravel())
-        strong = []
         for bc in (spec.bc_left, spec.bc_right):
-            x0, n = bc.location, bc.normal
-            bdof = 0 if bc.side == "left" else m - 1
-            cell_dofs = gdof[0] if bc.side == "left" else gdof[-1]
-            d_here = np.asarray(spec.D(np.array([x0])), dtype=dtype)[0]
             if bc.kind == "neumann":
-                rhs[bdof] -= d_here * bc.value * n
-            elif dirichlet_mode == "strong":
-                strong.append((bdof, bc.value))
-            else:
-                dvals = LagrangeBasis(p).eval(np.array([x0]), 1)[0] / h
-                mat.add_at(np.full(p + 1, bdof), cell_dofs, n * d_here * dvals)
-                mat.add_at(cell_dofs, np.full(p + 1, bdof), -n * dvals)
-                mat.add_at(np.array([bdof]), np.array([bdof]), np.array([n * DEFAULT_PENALTY]))
-                rhs[cell_dofs] += -n * bc.value * dvals
-                rhs[bdof] += n * DEFAULT_PENALTY * bc.value
-        for bdof, value in strong:
-            eliminate_dirichlet(mat, rhs, bdof, value)
+                bdof = 0 if bc.side == "left" else m - 1
+                rhs[bdof] -= np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0] * bc.value * bc.normal
+        for bc in (spec.bc_left, spec.bc_right):
+            if bc.kind == "dirichlet":
+                eliminate_dirichlet(mat, rhs, 0 if bc.side == "left" else m - 1, bc.value)
     else:
         total = 2 * p * t + 1
         me = h * reference_integral(phi, phi)

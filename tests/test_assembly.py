@@ -145,20 +145,6 @@ class TestStandardAssembly:
             exact = (np.arange(system.mesh.cell_count)[:, None] + nodes[None, :]) * system.mesh.h
             assert np.abs(coeffs - exact).max() <= 1e-12
 
-    def test_weak_dirichlet_approaches_strong(self):
-        spec = catalog("bench-poisson")
-        mesh = build_mesh(4)
-        strong = assemble_standard(spec, mesh, 2)
-        weak = assemble_standard(spec, mesh, 2, dirichlet_mode="weak")
-        xs = np.linalg.solve(to_dense(strong.matrix), strong.rhs)
-        xw = np.linalg.solve(to_dense(weak.matrix), weak.rhs)
-        # default penalty 1e6 pins the boundary values to ~1e-6
-        assert abs(xw[0] - np.exp(-0.25)) < 1e-5
-        assert np.abs(xw - xs).max() < 1e-4
-        tighter = assemble_standard(spec, mesh, 2, dirichlet_mode="weak", penalty=1e10)
-        xt = np.linalg.solve(to_dense(tighter.matrix), tighter.rhs)
-        assert np.abs(xt - xs).max() < 1e-8
-
     def test_neumann_load(self):
         # -(eta, D h n) lands only on the boundary unknown's equation
         spec = catalog("bench-diffusion")
@@ -278,19 +264,16 @@ class TestMixedAssembly:
 
 
 @pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))
-@pytest.mark.parametrize("form", ["standard-strong", "standard-weak", "mixed"])
+@pytest.mark.parametrize("form", ["standard-strong", "mixed"])
 def test_assembly_matches_add_at_scatter_bit_for_bit(problem, form):
     spec = _SCATTER_PROBLEMS[problem]()
-    flavor, _, mode = form.partition("-")
+    flavor = form.partition("-")[0]
+    assemble = assemble_standard if flavor == "standard" else assemble_mixed
     for p in range(1, 6):
         for level in (1, 2, 5):
             mesh = build_mesh(level)
-            if flavor == "standard":
-                system = assemble_standard(spec, mesh, p, dirichlet_mode=mode)
-                ab, rhs = add_at_assembly(spec, mesh, p, flavor, mode)
-            else:
-                system = assemble_mixed(spec, mesh, p)
-                ab, rhs = add_at_assembly(spec, mesh, p, flavor)
+            system = assemble(spec, mesh, p)
+            ab, rhs = add_at_assembly(spec, mesh, p, flavor)
             _assert_same_bits(system.matrix.ab, ab)
             _assert_same_bits(system.rhs, rhs)
 

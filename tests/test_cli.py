@@ -111,6 +111,23 @@ class TestSweep:
         text = (tmp_path / "sweep_validation-helmholtz_mixed_p4_u.csv").read_text()
         assert "# estimator=refined" in text
 
+    def test_cg_levels_without_free_unknowns_match_lu(self, tmp_path):
+        # p=1 level 0 has no free unknown and level 1 has one; CG must not
+        # trip over them and gives LU's rows bit for bit
+        rows = {}
+        for solver in ("lu", "cg"):
+            out = tmp_path / solver
+            code = main(
+                [
+                    "sweep", "--problem", "bench-poisson", "--p", "1", "--var", "u",
+                    "--solver", solver, "--n-max", "1000", "--out-dir", str(out),
+                ]
+            )
+            assert code == 0
+            text = (out / "sweep_bench-poisson_standard_p1_u.csv").read_text()
+            rows[solver] = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert rows["cg"][:3] == rows["lu"][:3]  # header, level 0, level 1
+
     def test_unknown_problem_lists_catalog(self, tmp_path, capsys):
         code = main(["sweep", "--problem", "no-such", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -249,6 +266,23 @@ class TestCalibrate:
         files = sorted(p.name for p in tmp_path.glob("magnitude-case1-*.csv"))
         assert len(files) == 5
         assert all(name.endswith("-S_standard_2_u.csv") for name in files)
+
+    def test_rise_streak_none_walks_to_the_cap(self, tmp_path):
+        # the solver suite stops on a streak of 4 unless told 'none'
+        last = {}
+        for streak in ("none", "4"):
+            out = tmp_path / streak
+            code = main(
+                [
+                    "calibrate", "--suite", "solver", "--var", "u", "--tol-prm", "1e-4",
+                    "--n-max", "20000", "--rise-streak", streak, "--out-dir", str(out),
+                ]
+            )
+            assert code == 0
+            text = (out / "solver-cg-1e-04_standard_2_u.csv").read_text()
+            last[streak] = int(text.splitlines()[-1].split(",")[1])
+        assert last["none"] >= 20000
+        assert last["4"] < last["none"]
 
     def test_suite_is_required_and_validated(self, tmp_path, capsys):
         assert main(["calibrate", "--out-dir", str(tmp_path)]) == 2

@@ -142,6 +142,13 @@ class TestConjugateGradients:
         with pytest.raises(ValueError, match="mixed signs"):
             cg_solve(system, tol_prm=1e-10)
 
+    def test_no_free_unknowns_returns_the_boundary_values(self):
+        # one linear cell with both ends Dirichlet: every row is an identity
+        system = assemble_standard(catalog("bench-poisson"), build_mesh(0), p=1)
+        report = cg_solve(system, tol_prm=1e-10)
+        assert report.iterations == 0
+        assert np.array_equal(report.x, lu_banded_solve(system).x)
+
     def test_nonconvergence_carries_state(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(6), p=2)
