@@ -398,6 +398,22 @@ def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarra
     return z[mixed_v_positions(p, t)[_cell_dofs(p, t)]], z[mixed_u_positions(p, t)]
 
 
+def check_scaling(flavor: str, scheme: str, norm_u: float = 1.0,
+                  norm_v: float = 1.0) -> ScalingInfo:
+    """Record of a scheme and its factors; raises when they do not fit the formulation."""
+    if scheme == "none":
+        return ScalingInfo("none")
+    if scheme == "S" and flavor != "standard":
+        raise ValueError("scheme S applies to the standard formulation")
+    if scheme in ("M1", "M2") and flavor != "mixed":
+        raise ValueError(f"scheme {scheme} applies to the mixed formulation")
+    if scheme not in ("S", "M1", "M2"):
+        raise ValueError(f"unknown scaling scheme {scheme!r}")
+    if norm_u <= 0 or norm_v <= 0:
+        raise ValueError("scaling factors must be positive")
+    return ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
+
+
 def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
                  norm_v: float = 1.0) -> LinearSystem:
     """Apply a magnitude-scaling scheme to an assembled system.
@@ -412,17 +428,9 @@ def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
     band with the input and has a new right-hand side; only 'M1', which scales
     columns, copies the band.
     """
+    scaling = check_scaling(system.flavor, scheme, norm_u, norm_v)
     if scheme == "none":
         return system
-    if scheme == "S" and system.flavor != "standard":
-        raise ValueError("scheme S applies to the standard formulation")
-    if scheme in ("M1", "M2") and system.flavor != "mixed":
-        raise ValueError(f"scheme {scheme} applies to the mixed formulation")
-    if scheme not in ("S", "M1", "M2"):
-        raise ValueError(f"unknown scaling scheme {scheme!r}")
-    if norm_u <= 0 or norm_v <= 0:
-        raise ValueError("scaling factors must be positive")
-
     matrix = system.matrix
     if scheme == "M1":
         matrix = matrix.copy()
@@ -430,6 +438,5 @@ def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
         unknown = np.arange(matrix.n) // (2 if system.complex_valued else 1)
         matrix.ab[:, mixed_is_u_position(unknown, system.p)] *= norm_u / norm_v
     rhs = system.rhs / (norm_v if scheme == "M1" else norm_u)
-    scaling = ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
     return replace(system, matrix=matrix, rhs=rhs, scaling=scaling)
 

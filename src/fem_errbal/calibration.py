@@ -16,11 +16,13 @@ and boundary suites therefore walk every configuration to one shared cap per
 flavor instead of stopping on a rise streak; a configuration with a late
 crossover would otherwise be fitted on a shifted window and its offset would
 not mean the same thing.  Floors are machine dependent, so every report
-carries a CPU identification string.
+carries a CPU identification string, and every CSV also names the BLAS
+kernel that ran the LU.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import platform
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .error_analysis import ErrorCurve, write_curve_csv
 from .prediction import brute_force_sweep, default_scheme
@@ -99,6 +102,27 @@ def cpu_identifier() -> str:
     return name or platform.machine() or "unknown"
 
 
+def blas_kernel() -> str:
+    """Name of the kernel that scipy's bundled OpenBLAS picked at run time.
+
+    The banded LU runs in that library, and its floor moves with the kernel.
+    Asks the library through ctypes; 'unknown' where scipy bundles no
+    OpenBLAS that exports `scipy_openblas_get_corename`.
+    """
+    root = Path(scipy.__file__).parent
+    for path in [*(root.parent / "scipy.libs").glob("libscipy_openblas*"),
+                 *(root / ".dylibs").glob("libscipy_openblas*")]:
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        if name:
+            return name.decode()
+    return "unknown"
+
+
 def poisson_neumann_variant() -> ProblemSpec:
     """The benchmark diffusion-free problem with its right condition made natural.
 
@@ -142,12 +166,13 @@ class CalibrationReport:
         return f"suite={self.suite} cpu={self.cpu} configurations={len(self.runs)}"
 
 
-def _csv_comments(run: CalibrationRun, cpu: str) -> List[str]:
+def _csv_comments(run: CalibrationRun, cpu: str, kernel: str) -> List[str]:
     lines = [
         f"suite={run.suite} label={run.label} problem={run.problem}",
         f"flavor={run.flavor} p={run.p} var={run.var} solver={run.solver} "
         f"tol_prm={run.tol_prm:.17g} scheme={run.scheme}",
         f"cpu={cpu}",
+        f"blas_kernel={kernel}",
     ]
     if run.fit is not None:
         lines.append(
@@ -164,10 +189,15 @@ def _csv_comments(run: CalibrationRun, cpu: str) -> List[str]:
 SUITE_STREAK = object()
 
 
+def _tol_token(tol: float) -> str:
+    """Shortest exponent form that reads back as tol: '1e-04', '1.4e-04'."""
+    return np.format_float_scientific(tol, trim="-", exp_digits=2)
+
+
 def _solver_configs(tolerances: Sequence[float], variables: Sequence[str]) -> List[tuple]:
     spec = catalog("bench-poisson")
     solvers = [("lu", 1e-10, "lu", "direct")] + [
-        ("cg", float(tol), f"cg-{tol:.0e}", f"cg tol_prm={tol:g}") for tol in tolerances
+        ("cg", float(tol), f"cg-{_tol_token(tol)}", f"cg tol_prm={tol:g}") for tol in tolerances
     ]
     return [
         (spec, f"solver-{tag}", label, "standard", 2, var, "S", solver, tol)
@@ -241,7 +271,7 @@ def sensitivity_suite(
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
-    cpu = cpu_identifier()
+    cpu, kernel = cpu_identifier(), blas_kernel()
     runs = []
     for spec, token, label, flv, p, var, var_scheme, solver, tol_prm in configs:
         curve = brute_force_sweep(spec, flv, p, var, scheme=var_scheme, n_max=cap,
@@ -255,6 +285,6 @@ def sensitivity_suite(
                              curve=curve, fit=fit, note=note)
         if directory is not None:
             run.csv_path = str(directory / f"{token}_{flv}_{p}_{var}.csv")
-            write_curve_csv(run.csv_path, _csv_comments(run, cpu), curve)
+            write_curve_csv(run.csv_path, _csv_comments(run, cpu, kernel), curve)
         runs.append(run)
     return CalibrationReport(suite=kind, cpu=cpu, runs=runs)

@@ -12,20 +12,23 @@ accuracy in closed form:
 alpha_T is fitted from a single anchor point (N_c, E_c) taken where the
 measured convergence rate first reaches the theoretical order (relaxed by
 c_r); beta_T comes from the convergence table; alpha_R and beta_R come from
-the calibrated round-off model.  The NORMALIZATION stage estimates the
-solution magnitudes that the scaling schemes divide out, which keeps the
-alpha_R offsets magnitude-independent.  A brute-force sweep over the full
-ladder serves as the validation baseline.
+the calibrated round-off model.  Each coarse level is solved once, unscaled.
+The NORMALIZATION stage reads ||u|| (and ||u_x|| under M1) from those same
+solves, refining until the norm changes by less than c_s, and the errors are
+divided by it, which keeps the alpha_R offsets magnitude-independent.  A
+brute-force sweep over the full ladder serves as the validation baseline; it
+solves systems scaled by the norms (`scale_system`), taken from the closed form
+or from a separate `normalization` ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import LinearSystem, assemble_mixed, assemble_standard, scale_system
+from .assembly import LinearSystem, assemble_mixed, assemble_standard, check_scaling, scale_system
 from .error_analysis import (
     DEFAULT_ALPHA_R,
     ErrorCurve,
@@ -152,6 +155,27 @@ def solve_level(
     return system, solve_system(system, solver, tol_prm=tol_prm)
 
 
+def _settled_norm(norm_at: Callable[[int], float], spec: ProblemSpec, flavor: str, var: str,
+                  p: int, defaults: AlgorithmDefaults) -> NormalizationResult:
+    """The c_s stop rule on norm_at(level), the L2 norm of var at that level.
+
+    Refines until the norm changes by less than c_s relative between adjacent
+    levels; comparisons start only after the minimal refinement count.  Raises
+    NormalizationError at the DoF cap, or at once when the norm is NaN or inf.
+    """
+    level = max(defaults.ref_min(p), 1)
+    prev = norm_at(level - 1)
+    cur = norm_at(level)
+    while host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) < defaults.n_max:
+        if not np.isfinite(cur):
+            break  # a NaN or inf norm never stabilizes
+        if cur != 0.0 and abs((cur - prev) / cur) < defaults.c_s:
+            return NormalizationResult(factor=cur, refinement_level=level)
+        level += 1
+        prev, cur = cur, norm_at(level)
+    raise NormalizationError(cur, level)
+
+
 def normalization(
     spec: ProblemSpec,
     flavor: str,
@@ -163,8 +187,8 @@ def normalization(
     """Estimate ||var||_2 from unscaled solves with the smallest degree in play.
 
     Refines until the norm changes by less than c_s relative between adjacent
-    levels; comparisons start only after the minimal refinement count.  Raises
-    NormalizationError at the DoF cap, or at once when the norm is NaN or inf.
+    levels (the rule `prediction_loop` applies to its own ladder).  The
+    brute-force sweep of a problem without a closed form scales by this norm.
     """
     defaults = defaults if defaults is not None else AlgorithmDefaults()
     if not variable_available(flavor, var, p_min):
@@ -174,17 +198,7 @@ def normalization(
         system, report = solve_level(spec, flavor, p_min, ref, solver=solver)
         return l2_norm(reconstruct(report, system, var))
 
-    level = max(defaults.ref_min(p_min), 1)
-    prev = norm_at(level - 1)
-    cur = norm_at(level)
-    while host_dof_count(flavor, var, p_min, 1 << level, spec.complex_valued) < defaults.n_max:
-        if not np.isfinite(cur):
-            break  # a NaN or inf norm never stabilizes
-        if cur != 0.0 and abs((cur - prev) / cur) < defaults.c_s:
-            return NormalizationResult(factor=cur, refinement_level=level)
-        level += 1
-        prev, cur = cur, norm_at(level)
-    raise NormalizationError(cur, level)
+    return _settled_norm(norm_at, spec, flavor, var, p_min, defaults)
 
 
 def default_scheme(flavor: str, var: str) -> str:
@@ -194,29 +208,14 @@ def default_scheme(flavor: str, var: str) -> str:
     return "M1" if var == "uxx" else "M2"
 
 
-def _resolve_factors(
-    spec: ProblemSpec,
-    flavor: str,
-    scheme: str,
-    p: int,
-    defaults: AlgorithmDefaults,
-    factors: Optional[Dict[str, float]],
-    solver: str,
-) -> Dict[str, float]:
+def _frame_norms(scheme: str) -> Dict[str, str]:
+    """Factor name -> the variable whose L2 norm it is under the scheme.
+
+    The gradient unknown satisfies v = -u_x, so norm_v is ||u_x||.
+    """
     if scheme == "none":
         return {}
-    out = {}
-    if factors and "norm_u" in factors:
-        out["norm_u"] = factors["norm_u"]
-    else:
-        out["norm_u"] = normalization(spec, flavor, "u", p, defaults, solver).factor
-    if scheme == "M1":
-        if factors and "norm_v" in factors:
-            out["norm_v"] = factors["norm_v"]
-        else:
-            # the gradient unknown satisfies v = -u_x, so its norm is ||u_x||
-            out["norm_v"] = normalization(spec, flavor, "ux", p, defaults, solver).factor
-    return out
+    return {"norm_u": "u", "norm_v": "ux"} if scheme == "M1" else {"norm_u": "u"}
 
 
 @dataclass
@@ -270,32 +269,47 @@ def prediction_loop(
 ) -> PredictionResult:
     """Predict the attainable accuracy of one variable from coarse refinements.
 
-    Walks the refinement ladder with scaled solves, estimating the error
-    against the once-refined level.  At each level the loop first checks that
-    the estimate still sits above the modeled round-off band and below the DoF
-    cap, then accepts the first level whose observed rate reaches beta_T c_r;
-    the anchor fixes alpha_T and the closed form gives N_opt and E_min.
-    Numerical outcomes never raise: the status field reports them.
+    Walks the refinement ladder with unscaled solves, solving each level once,
+    and estimates the error against the once-refined level.  The scheme fixes
+    the frame: each estimate is divided by its variable's factor, ||u|| (and
+    ||u_x|| for the gradient variables under M1), read from the same ladder by
+    the c_s rule unless `factors` supplies it.  At each level the loop first
+    checks that the estimate still sits above the modeled round-off band and
+    below the DoF cap, then accepts the first level whose observed rate
+    reaches beta_T c_r; the anchor fixes alpha_T and the closed form gives
+    N_opt and E_min.  Numerical outcomes never raise: the status field
+    reports them.  A norm that does not settle raises NormalizationError.
     """
     defaults = defaults if defaults is not None else AlgorithmDefaults()
     if not variable_available(flavor, var, p):
         raise ValueError(f"{var} is not available for {flavor} degree {p}")
     if scheme == "auto":
         scheme = default_scheme(flavor, var)
-    resolved = _resolve_factors(spec, flavor, scheme, p, defaults, factors, solver)
+    given = factors or {}
+    norms = _frame_norms(scheme)
+    names = {var} | {name for key, name in norms.items() if key not in given}
 
-    fields: Dict[int, FieldView] = {}
+    fields: Dict[tuple[int, str], FieldView] = {}
     estimates: Dict[int, float] = {}
 
-    def field_at(level: int) -> FieldView:
-        if level not in fields:
-            system, report = solve_level(spec, flavor, p, level, scheme, resolved, solver, tol_prm)
-            fields[level] = reconstruct(report, system, var)
-        return fields[level]
+    def field_at(level: int, name: str = var) -> FieldView:
+        if (level, name) not in fields:
+            system, report = solve_level(spec, flavor, p, level, solver=solver, tol_prm=tol_prm)
+            fields.update({(level, n): reconstruct(report, system, n) for n in names})
+        return fields[(level, name)]
+
+    resolved = {
+        key: given[key] if key in given else _settled_norm(
+            lambda level: l2_norm(field_at(level, name)), spec, flavor, name, p, defaults
+        ).factor
+        for key, name in norms.items()
+    }
+    divisor = check_scaling(flavor, scheme, **resolved).factor_for(var)
+    names = {var}  # the norms are settled; levels solved from here on need only var
 
     def estimate(level: int) -> float:
         if level not in estimates:
-            estimates[level] = error_refined(field_at(level), field_at(level + 1)).value
+            estimates[level] = error_refined(field_at(level), field_at(level + 1)).value / divisor
         return estimates[level]
 
     beta_t = float(beta_T(flavor, var, p))
@@ -335,7 +349,7 @@ def prediction_loop(
         var=var,
         scheme=scheme,
         status=status,
-        refinements_used=max(fields),
+        refinements_used=max(estimates) + 1,
         factors=resolved,
     )
     if anchor is not None:
@@ -364,12 +378,8 @@ def prediction_loop(
 
 def exact_norm_factors(spec: ProblemSpec, scheme: str) -> Dict[str, float]:
     """Scaling factors from closed-form solutions, for problems that have them."""
-    if scheme == "none":
-        return {}
-    out = {"norm_u": l2_norm(lambda x: eval_exact(spec, "u", x))}
-    if scheme == "M1":
-        out["norm_v"] = l2_norm(lambda x: eval_exact(spec, "ux", x))
-    return out
+    return {key: l2_norm(lambda x: eval_exact(spec, name, x))
+            for key, name in _frame_norms(scheme).items()}
 
 
 def brute_force_sweep(
@@ -404,7 +414,8 @@ def brute_force_sweep(
         if spec.has_exact:
             factors = exact_norm_factors(spec, scheme)
         else:
-            factors = _resolve_factors(spec, flavor, scheme, p, defaults, None, solver)
+            factors = {key: normalization(spec, flavor, name, p, defaults, solver).factor
+                       for key, name in _frame_norms(scheme).items()}
     cap = n_max if n_max is not None else defaults.n_max
 
     curve = ErrorCurve()

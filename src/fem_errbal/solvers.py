@@ -126,18 +126,20 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
     if np.sqrt(rs) <= threshold:  # the seed already solves it, e.g. no free unknowns
         return x, 0, float(np.sqrt(rs) / b_norm)
     p = r.copy()
+    step = np.empty_like(b)  # work vector for the alpha-scaled updates
     for k in range(1, max_iter + 1):
         ap = matvec(p)
         denom = np.dot(p, ap)
         if denom <= 0.0:
             raise NonConvergenceError(stage, k, float(np.sqrt(rs) / b_norm), x)
         alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         rs_new = np.dot(r, r)
         if np.sqrt(rs_new) <= threshold:
             return x, k, float(np.sqrt(rs_new) / b_norm)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r  # p = r + beta p; the sum is the same either way round
         rs = rs_new
     raise NonConvergenceError(stage, max_iter, float(np.sqrt(rs) / b_norm), x)
 
@@ -158,7 +160,9 @@ def cg_solve(system: LinearSystem, tol_prm: float, max_iter: int | None = None) 
     x0[constrained] = rhs[constrained]
 
     def matvec(v):
-        return sign * mat.matvec(v)
+        y = mat.matvec(v)
+        y *= sign
+        return y
 
     max_iter = max_iter if max_iter is not None else 10 * mat.n
     x, iters, _ = _cg_core(matvec, sign * rhs, tol_prm, max_iter, x0=x0)

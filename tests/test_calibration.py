@@ -8,12 +8,14 @@ is under test; two medium-depth sweeps pin the floor exponents the round-off
 model predicts (slope near 2 for the standard flavor, near 1 for mixed)."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fem_errbal.calibration import (
     FloorFit,
+    blas_kernel,
     cpu_identifier,
     fit_floor,
     poisson_neumann_variant,
@@ -183,6 +185,27 @@ class TestSolverSuite:
         assert int(ref) == run.curve[0].refinement_level
         assert int(n_dof) == run.curve[0].n_dof
         assert float(value) == run.curve[0].value  # %.17g round-trips exactly
+
+    def test_csv_names_the_blas_kernel(self, tmp_path):
+        sensitivity_suite("solver", out_dir=str(tmp_path), variables=("u",), n_max=500)
+        for path in tmp_path.glob("*.csv"):
+            meta = [ln for ln in path.read_text().splitlines() if ln.startswith("# ")]
+            kernel = [ln for ln in meta if ln.startswith("# blas_kernel=")]
+            assert kernel == [f"# blas_kernel={blas_kernel()}"]
+            assert blas_kernel().strip()
+
+    def test_close_tolerances_get_files_of_their_own(self, tmp_path):
+        # both round to 1e-04 with one digit; each CG run keeps its own CSV
+        report = sensitivity_suite("solver", out_dir=str(tmp_path), variables=("u",),
+                                   tolerances=(1e-4, 1.4e-4), n_max=500)
+        paths = [run.csv_path for run in report.runs]
+        assert [Path(p).name for p in paths] == [
+            "solver-lu_standard_2_u.csv",
+            "solver-cg-1e-04_standard_2_u.csv",
+            "solver-cg-1.4e-04_standard_2_u.csv",
+        ]
+        assert sorted(tmp_path.glob("*.csv")) == sorted(Path(p) for p in paths)
+        assert "tol_prm=0.00013999999999999999" in Path(paths[2]).read_text()
 
     def test_rerun_is_deterministic(self, tmp_path):
         kwargs = dict(variables=("u",), n_max=4000, rise_streak=3)

@@ -316,6 +316,70 @@ class TestPredictionLoop:
         assert res.factors == {}
 
 
+class TestSingleLadder:
+    """prediction_loop solves each level once and reads its factors off that ladder."""
+
+    @pytest.fixture
+    def solved_levels(self, monkeypatch):
+        levels = []
+
+        def counting_solve_level(*args, **kwargs):
+            levels.append(args[3])
+            return solve_level(*args, **kwargs)
+
+        monkeypatch.setattr(prediction, "solve_level", counting_solve_level)
+        return levels
+
+    @pytest.mark.parametrize("name, flavor, p, var", [
+        ("bench-poisson", "standard", 2, "u"),
+        ("bench-poisson", "mixed", 4, "u"),
+        ("bench-poisson", "mixed", 2, "uxx"),
+    ])
+    def test_each_level_solved_at_most_once(self, solved_levels, name, flavor, p, var):
+        res = prediction_loop(catalog(name), flavor, p, var)
+        assert res.status == "converged"
+        assert sorted(solved_levels) == sorted(set(solved_levels))
+        assert max(solved_levels) >= res.refinements_used
+
+    @pytest.mark.parametrize("name, flavor, p, var", [
+        ("bench-poisson", "standard", 2, "u"),
+        ("case1", "standard", 2, "u"),  # the norm settles only past the prediction's levels
+        ("validation-helmholtz", "mixed", 3, "ux"),
+        ("validation-helmholtz", "mixed", 3, "uxx"),
+    ])
+    def test_factors_equal_normalization(self, name, flavor, p, var):
+        spec = catalog(name, coefficient=100.0) if name == "case1" else catalog(name)
+        res = prediction_loop(spec, flavor, p, var)
+        want = {"norm_u": normalization(spec, flavor, "u", p).factor}
+        if res.scheme == "M1":
+            want["norm_v"] = normalization(spec, flavor, "ux", p).factor
+        assert res.scheme == default_scheme(flavor, var)
+        assert res.factors == want
+
+    @pytest.mark.parametrize("flavor, p, var, key", [
+        ("standard", 2, "u", "norm_u"),
+        ("mixed", 3, "u", "norm_u"),
+        ("mixed", 3, "uxx", "norm_v"),
+    ])
+    def test_estimates_are_the_unscaled_ones_divided(self, flavor, p, var, key):
+        spec = catalog("bench-diffusion")
+        framed = prediction_loop(spec, flavor, p, var)
+        plain = prediction_loop(spec, flavor, p, var, scheme="none")
+        assert plain.factors == {}
+        assert framed.N_c == plain.N_c
+        assert framed.E_c == plain.E_c / framed.factors[key]
+
+    def test_given_factors_skip_the_norm_ladder(self, solved_levels):
+        res = prediction_loop(catalog("bench-poisson"), "standard", 2, "u",
+                              factors={"norm_u": 0.5})
+        assert res.factors == {"norm_u": 0.5}
+        assert sorted(solved_levels) == list(range(6, res.refinements_used + 1))
+
+    def test_scheme_checked_against_the_formulation(self):
+        with pytest.raises(ValueError, match="scheme S applies to the standard"):
+            prediction_loop(catalog("bench-poisson"), "mixed", 2, "u", scheme="S")
+
+
 class TestSolveLevel:
     def test_matches_the_pipeline_spelled_out(self):
         spec = catalog("bench-poisson")
