@@ -6,7 +6,7 @@ attainable accuracy and the optimal DoF count from a few coarse solves by
 balancing the extrapolated truncation error against a calibrated round-off
 model."""
 
-from .assembly import assemble_mixed, assemble_standard, scale_system
+from .assembly import assemble_mixed, assemble_standard
 from .calibration import cpu_identifier, fit_floor, sensitivity_suite
 from .error_analysis import (
     DEFAULT_ALPHA_R,
@@ -41,7 +41,6 @@ __all__ = [
     "l2_norm",
     "prediction_loop",
     "reconstruct",
-    "scale_system",
     "sensitivity_suite",
     "solve_level",
     "solve_system",

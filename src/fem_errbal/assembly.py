@@ -21,6 +21,10 @@ The mixed unknowns are interleaved cell by cell so the monolithic matrix stays
 banded; the segregated solver's block (M, B, C, ...) view is sliced from that
 band on each access, so there is one copy of the system.
 
+Assembly never scales the matrix.  A system's `frame` is the one positive
+number its right-hand side was divided by, which divides every unknown by
+it; assembly returns frame 1, and the prediction module chooses the frame.
+
 Cell blocks go into the band by strided slices: cell c's unknowns sit at a
 fixed stride times c plus a per-cell offset, so one slice-add per local pair
 (i, j) covers every cell.  Within a slice the cells hit distinct slots, and a
@@ -30,7 +34,7 @@ do not depend on the order of the adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,11 +78,6 @@ class BandedMatrix:
             if hi > lo:
                 y[lo - d : hi - d] += self.ab[r0 - d, lo:hi] * x[lo:hi]
         return y
-
-    def copy(self) -> "BandedMatrix":
-        out = BandedMatrix(self.n, self.kl, self.ku, dtype=self.dtype)
-        out.ab[...] = self.ab
-        return out
 
 
 def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -> None:
@@ -169,35 +168,13 @@ def mixed_u_positions(p: int, t: int) -> np.ndarray:
     return 2 * p * c + 1 + e
 
 
-def mixed_is_u_position(q: np.ndarray, p: int) -> np.ndarray:
-    return (q > 0) & (((q - 1) % (2 * p)) < p)
-
-
-@dataclass
-class ScalingInfo:
-    """Record of an applied magnitude-scaling scheme."""
-
-    scheme: str  # 'none' | 'S' | 'M1' | 'M2'
-    norm_u: float = 1.0
-    norm_v: float = 1.0
-
-    def factor_for(self, var: str) -> float:
-        if self.scheme in ("none",):
-            return 1.0
-        if self.scheme in ("S", "M2"):
-            return self.norm_u
-        if self.scheme == "M1":
-            return self.norm_u if var == "u" else self.norm_v
-        raise ValueError(f"unknown scheme {self.scheme!r}")
-
 
 @dataclass
 class SaddleBlocks:
     """Block view of a real mixed system: M V + B U = G, C V + R U = H.
 
-    pure_saddle means R = 0 and C is B^T up to the positive factor the
-    scaling put on B (norm_u/norm_v under M1), which is what the segregated
-    Schur path requires.
+    pure_saddle means R = 0 and C = B^T to rounding, which is what the
+    segregated Schur path requires.
     """
 
     M: BandedMatrix
@@ -216,7 +193,7 @@ class LinearSystem:
     p: int
     mesh: Mesh
     complex_valued: bool
-    scaling: ScalingInfo = field(default_factory=lambda: ScalingInfo("none"))
+    frame: float = 1.0  # the right-hand side, and so every unknown, is divided by it
 
     @property
     def n_unknowns(self) -> int:
@@ -247,9 +224,8 @@ class LinearSystem:
             m_block.ab[2 * p + k, js] = entries(pos_v[js + k], pos_v[js])
         b_block = block(gv, gu, pos_v, pos_u, (nv, nu))
         c_block = block(gu, gv, pos_u, pos_v, (nu, nv))
-        ratio = self.scaling.norm_u / self.scaling.norm_v if self.scaling.scheme == "M1" else 1.0
         pure_saddle = block(gu, gu, pos_u, pos_u, (nu, nu)).count_nonzero() == 0 and bool(
-            abs(c_block * ratio - b_block.T).max() <= 1e-13 * (abs(b_block).max() + 1e-300)
+            abs(c_block - b_block.T).max() <= 1e-13 * (abs(b_block).max() + 1e-300)
         )
         return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
                             H=self.rhs[pos_u], pure_saddle=pure_saddle)
@@ -396,47 +372,4 @@ def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarra
     p, t = system.p, system.mesh.cell_count
     z = recombine_split(x) if system.complex_valued else x
     return z[mixed_v_positions(p, t)[_cell_dofs(p, t)]], z[mixed_u_positions(p, t)]
-
-
-def check_scaling(flavor: str, scheme: str, norm_u: float = 1.0,
-                  norm_v: float = 1.0) -> ScalingInfo:
-    """Record of a scheme and its factors; raises when they do not fit the formulation."""
-    if scheme == "none":
-        return ScalingInfo("none")
-    if scheme == "S" and flavor != "standard":
-        raise ValueError("scheme S applies to the standard formulation")
-    if scheme in ("M1", "M2") and flavor != "mixed":
-        raise ValueError(f"scheme {scheme} applies to the mixed formulation")
-    if scheme not in ("S", "M1", "M2"):
-        raise ValueError(f"unknown scaling scheme {scheme!r}")
-    if norm_u <= 0 or norm_v <= 0:
-        raise ValueError("scaling factors must be positive")
-    return ScalingInfo(scheme, norm_u=norm_u, norm_v=norm_v)
-
-
-def scale_system(system: LinearSystem, scheme: str, norm_u: float = 1.0,
-                 norm_v: float = 1.0) -> LinearSystem:
-    """Apply a magnitude-scaling scheme to an assembled system.
-
-    'S' divides the standard right-hand side by ||u||; 'M2' does the same for
-    the whole mixed right-hand side; 'M1' additionally multiplies the gradient
-    block (and any reaction block) by ||u||/||v|| while dividing the right-hand
-    side by ||v||.  The recorded ScalingInfo maps each variable to the factor
-    the solved unknowns were divided by.
-
-    The input is never written.  'S' and 'M2' return a system that shares its
-    band with the input and has a new right-hand side; only 'M1', which scales
-    columns, copies the band.
-    """
-    scaling = check_scaling(system.flavor, scheme, norm_u, norm_v)
-    if scheme == "none":
-        return system
-    matrix = system.matrix
-    if scheme == "M1":
-        matrix = matrix.copy()
-        # a split system interleaves (Re, Im) of each unknown
-        unknown = np.arange(matrix.n) // (2 if system.complex_valued else 1)
-        matrix.ab[:, mixed_is_u_position(unknown, system.p)] *= norm_u / norm_v
-    rhs = system.rhs / (norm_v if scheme == "M1" else norm_u)
-    return replace(system, matrix=matrix, rhs=rhs, scaling=scaling)
 

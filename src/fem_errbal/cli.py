@@ -28,7 +28,7 @@ from .calibration import SUITE_STREAK, sensitivity_suite
 from .error_analysis import beta_R, beta_T, variable_available, write_curve_csv
 from .mesh_basis import MAX_DEGREE
 from .prediction import (AlgorithmDefaults, PredictionResult, brute_force_sweep,
-                         prediction_loop, solve_level)
+                         frame_divisor, prediction_loop, solve_level)
 from .problem import CATALOG_NAMES, VARIABLES, catalog
 
 _FLAVORS = ("standard", "mixed")
@@ -57,6 +57,20 @@ def _parse_int(text: str, name: str) -> int:
         return int(str(text).replace("_", ""))
     except ValueError:
         raise ConfigError(f"{name} expects an integer, got {text!r}") from None
+
+
+def _parse_cap(text: str) -> int:
+    value = _parse_int(text, "--n-max")
+    if value < 1:
+        raise ConfigError(f"--n-max must be positive, got {value}")
+    return value
+
+
+def _parse_tolerance(text: str) -> float:
+    value = _parse_float(text, "--tol-prm")
+    if not 0 < value < np.inf:
+        raise ConfigError(f"--tol-prm must be positive and finite, got {value:g}")
+    return value
 
 
 def _parse_degree(text: str) -> int:
@@ -99,9 +113,7 @@ def _parse_variables(text: str) -> Tuple[str, ...]:
 
 
 def _parse_tolerance_list(text: str) -> Tuple[float, ...]:
-    values = tuple(
-        _parse_float(t.strip(), "--tol-prm") for t in str(text).split(",") if t.strip()
-    )
+    values = tuple(_parse_tolerance(t.strip()) for t in str(text).split(",") if t.strip())
     if not values:
         raise ConfigError("--tol-prm expects at least one tolerance")
     return values
@@ -252,8 +264,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def _timed_optimal_solve(spec, args: argparse.Namespace, result: PredictionResult) -> float:
     """One solve on the predicted optimal mesh, timed; the PRED+ increment."""
     start = time.perf_counter()
-    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref, result.scheme,
-                result.factors, args.solver, args.tol_prm)
+    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref,
+                frame_divisor(result.scheme, result.var, result.factors), args.solver,
+                args.tol_prm)
     return time.perf_counter() - start
 
 
@@ -361,7 +374,6 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
                help="standard | mixed (default standard)")
     scheme = dict(type=partial(_choice, name="--scheme", allowed=_SCHEMES), default="auto")
     variables = dict(dest="variables", type=_parse_variables, help="comma list from u,ux,uxx")
-    n_max = partial(_parse_int, name="--n-max")
     streak = dict(type=_parse_streak, default=3)
     out_dir = dict(default=".", help="output directory (default .)")
     config = dict(help="flat key=value file; flags override")
@@ -378,10 +390,10 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         sp.add_argument("--var", **variables, default=("u",))
         sp.add_argument("--solver", type=partial(_choice, name="--solver", allowed=_SOLVERS),
                         default="lu", help="lu | cg | schur (default lu)")
-        sp.add_argument("--tol-prm", type=partial(_parse_float, name="--tol-prm"), default=1e-10,
+        sp.add_argument("--tol-prm", type=_parse_tolerance, default=1e-10,
                         help="iterative solver tolerance")
         sp.add_argument("--scheme", **scheme, help="scaling: auto | none | S | M1 | M2")
-        sp.add_argument("--n-max", type=n_max, default=10**8, help="DoF cap")
+        sp.add_argument("--n-max", type=_parse_cap, default=10**8, help="DoF cap")
         sp.add_argument("--out-dir", **out_dir)
         sp.add_argument("--config", **config)
 
@@ -409,7 +421,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     sp.add_argument("--var", **variables)
     sp.add_argument("--tol-prm", dest="tolerances", type=_parse_tolerance_list,
                     default=(1e-10, 1e-4), help="comma list of iterative tolerances")
-    sp.add_argument("--n-max", type=n_max, help="DoF cap override")
+    sp.add_argument("--n-max", type=_parse_cap, help="DoF cap override")
     sp.add_argument("--rise-streak", type=_parse_streak, default=SUITE_STREAK,
                     help="stop streak override, or 'none'")
     sp.add_argument("--out-dir", **out_dir)

@@ -4,12 +4,12 @@ Solutions come back as coefficient vectors; this module turns them into
 evaluable piecewise-polynomial views of u, u_x and u_xx, measures L2 errors
 against exact solutions or once-refined solves, and tracks error curves over
 refinement ladders and writes them as CSV.  For mixed systems the derivative
-fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  When a
-magnitude scaling scheme was applied, solved coefficients are the scaled
-unknowns; errors are measured in the scaled frame (exact values divided by
-the variable's factor) so the round-off floor offsets stay
-magnitude-independent; multiplying a view's values by its scale_factor gives
-the physical frame back.
+fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  A system
+solved in a frame (its right-hand side divided by one positive number, see
+`LinearSystem.frame`) yields unknowns divided by that number; every view
+carries it as scale_factor, errors are measured in that frame (exact values
+divided by it) so the round-off floor offsets stay magnitude-independent, and
+multiplying a view's values by scale_factor gives the physical frame back.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def reconstruct(solution, system: LinearSystem, var: str) -> FieldView:
         coeffs=coeffs,
         deriv_order=order,
         fem_degree=p,
-        scale_factor=system.scaling.factor_for(var),
+        scale_factor=system.frame,
     )
 
 

@@ -12,23 +12,28 @@ accuracy in closed form:
 alpha_T is fitted from a single anchor point (N_c, E_c) taken where the
 measured convergence rate first reaches the theoretical order (relaxed by
 c_r); beta_T comes from the convergence table; alpha_R and beta_R come from
-the calibrated round-off model.  Each coarse level is solved once, unscaled.
-The NORMALIZATION stage reads ||u|| (and ||u_x|| under M1) from those same
-solves, refining until the norm changes by less than c_s, and the errors are
-divided by it, which keeps the alpha_R offsets magnitude-independent.  A
-brute-force sweep over the full ladder serves as the validation baseline; it
-solves systems scaled by the norms (`scale_system`), taken from the closed form
-or from a separate `normalization` ladder.
+the calibrated round-off model.
+
+Every scaling scheme only picks the frame the errors are measured in, one
+positive divisor per measured variable (`frame_divisor`): ||u|| under S and
+M2, and under M1 ||u|| for u and ||u_x|| for u_x and u_xx.  Each coarse
+level is solved once, unscaled.  The NORMALIZATION stage reads those norms
+from the same solves, refining until the norm changes by less than c_s, and
+the errors are divided by the frame, which keeps the alpha_R offsets
+magnitude-independent.  A brute-force sweep over the full ladder serves as
+the validation baseline; it divides each level's right-hand side by the
+frame, with norms from the closed form or from a separate `normalization`
+ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import LinearSystem, assemble_mixed, assemble_standard, check_scaling, scale_system
+from .assembly import LinearSystem, assemble_mixed, assemble_standard
 from .error_analysis import (
     DEFAULT_ALPHA_R,
     ErrorCurve,
@@ -133,16 +138,17 @@ def solve_level(
     flavor: str,
     p: int,
     level: int,
-    scheme: str = "none",
-    factors: Optional[Dict[str, float]] = None,
+    frame: float = 1.0,
     solver: str = "lu",
     tol_prm: float = 1e-10,
 ) -> tuple[LinearSystem, SolveReport]:
-    """Assemble, scale and solve one level of the refinement ladder.
+    """Assemble one level of the refinement ladder and solve it in a frame.
 
-    factors maps norm_u (and norm_v for M1) to the scaling factors; a missing
-    entry counts as 1.
+    The right-hand side is divided by frame, which divides every unknown by
+    it; `frame_divisor` gives the frame of a scaling scheme.
     """
+    if not frame > 0:
+        raise ValueError("the frame must be positive")
     mesh = build_mesh(level)
     if flavor == "standard":
         system = assemble_standard(spec, mesh, p=p)
@@ -150,8 +156,8 @@ def solve_level(
         system = assemble_mixed(spec, mesh, p=p)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    factors = factors or {}
-    system = scale_system(system, scheme, factors.get("norm_u", 1.0), factors.get("norm_v", 1.0))
+    if frame != 1.0:
+        system = replace(system, rhs=system.rhs / frame, frame=frame)
     return system, solve_system(system, solver, tol_prm=tol_prm)
 
 
@@ -208,14 +214,42 @@ def default_scheme(flavor: str, var: str) -> str:
     return "M1" if var == "uxx" else "M2"
 
 
-def _frame_norms(scheme: str) -> Dict[str, str]:
-    """Factor name -> the variable whose L2 norm it is under the scheme.
+# factor name -> the variable whose L2 norm it is, per scheme; the gradient
+# unknown satisfies v = -u_x, so norm_v is ||u_x||
+_FRAME_NORMS = {
+    "none": {},
+    "S": {"norm_u": "u"},
+    "M1": {"norm_u": "u", "norm_v": "ux"},
+    "M2": {"norm_u": "u"},
+}
 
-    The gradient unknown satisfies v = -u_x, so norm_v is ||u_x||.
+
+def _frame_norms(flavor: str, scheme: str) -> Dict[str, str]:
+    """The scheme's factor names and variables; raises when it does not fit the formulation.
+
+    Callers run it before any solve, so a bad scheme costs nothing.
+    """
+    if scheme == "S" and flavor != "standard":
+        raise ValueError("scheme S applies to the standard formulation")
+    if scheme in ("M1", "M2") and flavor != "mixed":
+        raise ValueError(f"scheme {scheme} applies to the mixed formulation")
+    if scheme not in _FRAME_NORMS:
+        raise ValueError(f"unknown scaling scheme {scheme!r}")
+    return _FRAME_NORMS[scheme]
+
+
+def frame_divisor(scheme: str, var: str, factors: Dict[str, float]) -> float:
+    """The one divisor that puts var in the scheme's frame.
+
+    It is ||u|| under S and M2 and for u under M1, ||u_x|| for u_x and u_xx
+    under M1, and 1 under 'none'.  factors maps norm_u and norm_v to those
+    norms; a missing one counts as 1.
     """
     if scheme == "none":
-        return {}
-    return {"norm_u": "u", "norm_v": "ux"} if scheme == "M1" else {"norm_u": "u"}
+        return 1.0
+    if any(value <= 0 for value in factors.values()):
+        raise ValueError("scaling factors must be positive")
+    return factors.get("norm_v" if scheme == "M1" and var != "u" else "norm_u", 1.0)
 
 
 @dataclass
@@ -285,8 +319,8 @@ def prediction_loop(
         raise ValueError(f"{var} is not available for {flavor} degree {p}")
     if scheme == "auto":
         scheme = default_scheme(flavor, var)
+    norms = _frame_norms(flavor, scheme)
     given = factors or {}
-    norms = _frame_norms(scheme)
     names = {var} | {name for key, name in norms.items() if key not in given}
 
     fields: Dict[tuple[int, str], FieldView] = {}
@@ -304,7 +338,7 @@ def prediction_loop(
         ).factor
         for key, name in norms.items()
     }
-    divisor = check_scaling(flavor, scheme, **resolved).factor_for(var)
+    divisor = frame_divisor(scheme, var, resolved)
     names = {var}  # the norms are settled; levels solved from here on need only var
 
     def estimate(level: int) -> float:
@@ -379,7 +413,7 @@ def prediction_loop(
 def exact_norm_factors(spec: ProblemSpec, scheme: str) -> Dict[str, float]:
     """Scaling factors from closed-form solutions, for problems that have them."""
     return {key: l2_norm(lambda x: eval_exact(spec, name, x))
-            for key, name in _frame_norms(scheme).items()}
+            for key, name in _FRAME_NORMS[scheme].items()}
 
 
 def brute_force_sweep(
@@ -396,7 +430,9 @@ def brute_force_sweep(
 ) -> ErrorCurve:
     """Walk the ladder measuring the error at every level; the baseline method.
 
-    Uses the exact-solution error when available, the once-refined estimate
+    Each level is solved in var's frame (`frame_divisor`), with the factors
+    from the closed form or from `normalization` unless given.  Uses the
+    exact-solution error when available, the once-refined estimate
     otherwise.  Stops at the DoF cap or, when rise_streak is set, after that
     many consecutive error increases, which marks the round-off branch well
     past the minimum.  rise_streak=None always walks to the cap, giving every
@@ -410,12 +446,14 @@ def brute_force_sweep(
         raise ValueError(f"{var} is not available for {flavor} degree {p}")
     if scheme == "auto":
         scheme = default_scheme(flavor, var)
+    norms = _frame_norms(flavor, scheme)
     if factors is None:
         if spec.has_exact:
             factors = exact_norm_factors(spec, scheme)
         else:
             factors = {key: normalization(spec, flavor, name, p, defaults, solver).factor
-                       for key, name in _frame_norms(scheme).items()}
+                       for key, name in norms.items()}
+    frame = frame_divisor(scheme, var, factors)
     cap = n_max if n_max is not None else defaults.n_max
 
     curve = ErrorCurve()
@@ -424,7 +462,7 @@ def brute_force_sweep(
     prev_field = None
     level = 0
     while True:
-        system, report = solve_level(spec, flavor, p, level, scheme, factors, solver, tol_prm)
+        system, report = solve_level(spec, flavor, p, level, frame, solver, tol_prm)
         fld = reconstruct(report, system, var)
         del system, report  # free this level's band before the next one is assembled
         record = None

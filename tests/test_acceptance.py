@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from fem_errbal.assembly import assemble_mixed, assemble_standard, scale_system
 from fem_errbal.calibration import fit_floor
 from fem_errbal.error_analysis import (
     DEFAULT_ALPHA_R,
@@ -21,16 +20,16 @@ from fem_errbal.error_analysis import (
     host_dof_count,
     variable_available,
 )
-from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.prediction import (
     AlgorithmDefaults,
     ErrorModel,
     brute_force_sweep,
+    frame_divisor,
     predict_opt,
     prediction_loop,
+    solve_level,
 )
 from fem_errbal.problem import catalog
-from fem_errbal.solvers import solve_system
 
 _BENCHES = ("bench-poisson", "bench-diffusion", "bench-helmholtz")
 _FLAVORS = ("standard", "mixed")
@@ -260,18 +259,7 @@ def _memory_safe_ref(flavor: str, p: int, complex_valued: bool) -> int:
 def _timed_prediction_plus(spec, flavor, p, var, defaults, target_ref):
     start = time.perf_counter()
     result = prediction_loop(spec, flavor, p, var, defaults=defaults)
-    mesh = build_mesh(target_ref)
-    if flavor == "standard":
-        system = assemble_standard(spec, mesh, p=p)
-    else:
-        system = assemble_mixed(spec, mesh, p=p)
-    system = scale_system(
-        system,
-        result.scheme,
-        norm_u=result.factors.get("norm_u", 1.0),
-        norm_v=result.factors.get("norm_v", 1.0),
-    )
-    solve_system(system, "lu")
+    solve_level(spec, flavor, p, target_ref, frame_divisor(result.scheme, var, result.factors))
     return result, time.perf_counter() - start
 
 

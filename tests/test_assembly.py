@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fem_errbal import prediction
 from fem_errbal.assembly import (
     BandedMatrix,
     assemble_mixed,
@@ -11,15 +12,14 @@ from fem_errbal.assembly import (
     eliminate_dirichlet,
     extract_mixed_coeffs,
     extract_standard_coeffs,
-    mixed_is_u_position,
     mixed_u_positions,
     mixed_v_positions,
     recombine_split,
-    scale_system,
     split_complex,
 )
 from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
+from fem_errbal.prediction import brute_force_sweep, frame_divisor, prediction_loop, solve_level
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
 
 from banded import add_at_assembly, from_dense, to_dense
@@ -184,8 +184,9 @@ class TestMixedAssembly:
         combined = np.sort(np.concatenate([pos_v, pos_u.ravel()]))
         np.testing.assert_array_equal(combined, np.arange(2 * p * t + 1))
         assert pos_v[0] == 0
-        assert mixed_is_u_position(pos_u.ravel(), p).all()
-        assert not mixed_is_u_position(pos_v, p).any()
+        # each cell's 2p unknowns after its left vertex v: p of u, then p of v
+        assert ((pos_u - 1) % (2 * p) < p).all()
+        assert not ((pos_v[1:] - 1) % (2 * p) < p).any()
 
     def test_mass_block_spd_one_cell(self):
         # oracle: exact P1 mass matrix [[h/3, h/6], [h/6, h/3]] on a single cell
@@ -221,17 +222,6 @@ class TestMixedAssembly:
         np.testing.assert_array_equal(blocks.C.toarray(), a[np.ix_(u, v)])
         np.testing.assert_array_equal(blocks.G, system.rhs[v])
         np.testing.assert_array_equal(blocks.H, system.rhs[u])
-
-    def test_m1_blocks_carry_the_scaled_gradient_block(self):
-        system = assemble_mixed(catalog("bench-poisson"), build_mesh(4), 3)
-        scaled = scale_system(system, "M1", norm_u=0.9, norm_v=3.7)
-        v = mixed_v_positions(3, 16)
-        u = mixed_u_positions(3, 16).ravel()
-        a = to_dense(scaled.matrix)
-        blocks = scaled.blocks
-        np.testing.assert_array_equal(blocks.B.toarray(), a[np.ix_(v, u)])
-        np.testing.assert_array_equal(blocks.C.toarray(), system.blocks.C.toarray())
-        assert blocks.pure_saddle
 
     def test_pure_saddle_flag(self):
         assert assemble_mixed(catalog("bench-poisson"), build_mesh(2), 2).blocks.pure_saddle
@@ -311,65 +301,75 @@ class TestComplexSplit:
 
 
 class TestScaling:
+    """Every scheme is one right-hand-side divisor, the frame solve_level applies."""
+
+    @staticmethod
+    def _framed(name, flavor, frame, level=3, p=2):
+        """(solve_level's system in the frame, the same level assembled unscaled)."""
+        assemble = assemble_standard if flavor == "standard" else assemble_mixed
+        system, _ = solve_level(catalog(name), flavor, p, level, frame)
+        return system, assemble(catalog(name), build_mesh(level), p)
+
     def test_scheme_s_divides_rhs(self):
-        system = assemble_standard(catalog("bench-poisson"), build_mesh(3), 2)
-        scaled = scale_system(system, "S", norm_u=0.92)
-        np.testing.assert_allclose(scaled.rhs, system.rhs / 0.92, rtol=1e-15)
-        assert scaled.scaling.factor_for("u") == 0.92
-        assert system.scaling.scheme == "none"  # original untouched
+        frame = frame_divisor("S", "u", {"norm_u": 0.92})
+        assert frame == 0.92
+        system, plain = self._framed("bench-poisson", "standard", frame)
+        _assert_same_bits(system.rhs, plain.rhs / 0.92)
+        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
+        assert system.frame == 0.92 and plain.frame == 1.0
 
     @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
-    def test_scheme_m1_scales_gradient_columns(self, name):
-        system = assemble_mixed(catalog(name), build_mesh(2), 2)
-        ku_norm, kv_norm = 0.9, 3.7
-        scaled = scale_system(system, "M1", norm_u=ku_norm, norm_v=kv_norm)
-        a0 = to_dense(system.matrix)
-        a1 = to_dense(scaled.matrix)
-        # a split system interleaves (Re, Im) of each unknown
-        unknown = np.arange(system.n_unknowns) // (2 if system.complex_valued else 1)
-        u_col = mixed_is_u_position(unknown, system.p)
-        ratio = ku_norm / kv_norm
-        np.testing.assert_array_equal(a1[:, u_col], ratio * a0[:, u_col])
-        np.testing.assert_array_equal(a1[:, ~u_col], a0[:, ~u_col])
-        np.testing.assert_array_equal(scaled.rhs, system.rhs / kv_norm)
-        assert scaled.scaling.factor_for("u") == ku_norm
-        assert scaled.scaling.factor_for("ux") == kv_norm
-        assert scaled.scaling.factor_for("uxx") == kv_norm
+    def test_scheme_m1_divides_rhs_by_the_gradient_norm(self, name):
+        factors = {"norm_u": 0.9, "norm_v": 3.7}
+        assert frame_divisor("M1", "u", factors) == 0.9
+        assert frame_divisor("M1", "ux", factors) == frame_divisor("M1", "uxx", factors) == 3.7
+        system, plain = self._framed(name, "mixed", 3.7, level=2)
+        # no column is scaled: the band is the assembled one
+        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
+        _assert_same_bits(system.rhs, plain.rhs / 3.7)
+        assert system.frame == 3.7
 
     def test_scheme_m2_divides_rhs(self):
-        system = assemble_mixed(catalog("bench-poisson"), build_mesh(2), 2)
-        scaled = scale_system(system, "M2", norm_u=2.0)
-        np.testing.assert_allclose(scaled.rhs, system.rhs / 2.0, rtol=1e-15)
-        a0, a1 = to_dense(system.matrix), to_dense(scaled.matrix)
-        np.testing.assert_array_equal(a0, a1)
+        frame = frame_divisor("M2", "uxx", {"norm_u": 2.0})
+        assert frame == 2.0
+        system, plain = self._framed("bench-poisson", "mixed", frame, level=2)
+        _assert_same_bits(system.rhs, plain.rhs / 2.0)
+        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
 
     def test_scaled_solutions_are_divided_unknowns(self):
         spec = catalog("bench-poisson")
-        system = assemble_standard(spec, build_mesh(4), 2)
-        x0 = np.linalg.solve(to_dense(system.matrix), system.rhs)
-        scaled = scale_system(system, "S", norm_u=0.92)
-        x1 = np.linalg.solve(to_dense(scaled.matrix), scaled.rhs)
-        np.testing.assert_allclose(x1, x0 / 0.92, rtol=1e-12)
+        _, plain = solve_level(spec, "standard", 2, 4)
+        _, framed = solve_level(spec, "standard", 2, 4, 0.92)
+        np.testing.assert_allclose(framed.x, plain.x / 0.92, rtol=1e-12)
+        # dividing by a power of two commutes with every rounding and every pivot choice
+        _, halved = solve_level(spec, "standard", 2, 4, 2.0)
+        _assert_same_bits(halved.x, plain.x / 2.0)
 
     @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
     @pytest.mark.parametrize("scheme", ["S", "M1", "M2"])
     def test_input_left_unwritten(self, name, scheme):
-        assemble = assemble_standard if scheme == "S" else assemble_mixed
-        system = assemble(catalog(name), build_mesh(3), 2)
-        ab, rhs = system.matrix.ab.copy(), system.rhs.copy()
-        scaled = scale_system(system, scheme, norm_u=0.9, norm_v=3.7)
-        _assert_same_bits(system.matrix.ab, ab)
-        _assert_same_bits(system.rhs, rhs)
-        # only M1, which scales columns, needs a band of its own
-        assert np.shares_memory(scaled.matrix.ab, system.matrix.ab) == (scheme != "M1")
-        assert not np.shares_memory(scaled.rhs, system.rhs)
+        # the frame divides a new right-hand side, and the LU factors a copy
+        # of the band: after the solve the band is still the assembled one
+        frame = frame_divisor(scheme, "ux", {"norm_u": 0.9, "norm_v": 3.7})
+        system, plain = self._framed(name, "standard" if scheme == "S" else "mixed", frame)
+        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
+        _assert_same_bits(system.rhs, plain.rhs / frame)
 
-    def test_scheme_flavor_validation(self):
-        std = assemble_standard(catalog("bench-poisson"), build_mesh(1), 1)
-        mix = assemble_mixed(catalog("bench-poisson"), build_mesh(1), 1)
-        with pytest.raises(ValueError):
-            scale_system(std, "M1", 1.0, 1.0)
-        with pytest.raises(ValueError):
-            scale_system(mix, "S", 1.0)
-        with pytest.raises(ValueError):
-            scale_system(std, "Z", 1.0)
+    def test_scheme_flavor_validation(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the scheme was checked")
+
+        monkeypatch.setattr(prediction, "solve_level", no_solve)
+        # no closed form, so a frame norm would need a normalization ladder
+        spec = catalog("validation-helmholtz")
+        for flavor, scheme, message in [
+            ("standard", "M1", "scheme M1 applies to the mixed formulation"),
+            ("mixed", "S", "scheme S applies to the standard formulation"),
+            ("standard", "Z", "unknown scaling scheme 'Z'"),
+        ]:
+            for run in (brute_force_sweep, prediction_loop):
+                with pytest.raises(ValueError, match=message):
+                    run(spec, flavor, 2, "u", scheme=scheme)
+        with pytest.raises(ValueError, match="scaling factors must be positive"):
+            frame_divisor("M1", "u", {"norm_u": 1.0, "norm_v": -1.0})
+        assert frame_divisor("none", "u", {"norm_u": -1.0}) == 1.0

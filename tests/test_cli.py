@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from fem_errbal import prediction
 from fem_errbal.cli import (
     ConfigError,
     _parse_config_file,
@@ -363,6 +364,54 @@ class TestExitCodes:
         code = main(["sweep", "--problem", "case1", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "coefficient" in capsys.readouterr().err
+
+    def test_scheme_that_misfits_the_formulation_solves_nothing(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the scheme was checked")
+
+        monkeypatch.setattr(prediction, "solve_level", no_solve)
+        # no closed form: the frame norm would need a normalization ladder
+        code = main(["sweep", "--problem", "validation-helmholtz", "--fem", "mixed",
+                     "--scheme", "S", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: scheme S applies to the standard formulation\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "predict", "validate", "calibrate"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_cap_is_exit_two(self, tmp_path, capsys, subcommand, cap):
+        problem = ["--suite", "solver"] if subcommand == "calibrate" else [
+            "--problem", "bench-poisson"]
+        code = main([subcommand, *problem, "--n-max", cap, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n-max must be positive, got {cap}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_positive_cap_in_a_config_file_is_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=bench-poisson\nn_max=0\n")
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: --n-max must be positive, got 0\n"
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "predict", "validate"])
+    @pytest.mark.parametrize("tol, shown", [("-1", "-1"), ("0", "0"), ("inf", "inf"),
+                                            ("nan", "nan")])
+    def test_bad_solver_tolerance_is_exit_two(self, tmp_path, capsys, subcommand, tol, shown):
+        code = main([subcommand, "--problem", "bench-poisson", "--solver", "cg",
+                     "--tol-prm", tol, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --tol-prm must be positive and finite, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tolerances", ["1e-10,-1", "0", "1e-4,nan", "inf,1e-4"])
+    def test_bad_calibration_tolerance_is_exit_two(self, tmp_path, capsys, tolerances):
+        code = main(["calibrate", "--suite", "solver", "--tol-prm", tolerances,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: --tol-prm must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _distribution_installed(name: str) -> bool:

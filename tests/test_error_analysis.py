@@ -13,7 +13,6 @@ from fem_errbal.assembly import (
     assemble_mixed,
     assemble_standard,
     extract_mixed_coeffs,
-    scale_system,
 )
 from fem_errbal.error_analysis import (
     DEFAULT_ALPHA_R,
@@ -30,6 +29,7 @@ from fem_errbal.error_analysis import (
     variable_available,
 )
 from fem_errbal.mesh_basis import build_mesh
+from fem_errbal.prediction import solve_level
 from fem_errbal.problem import catalog, eval_exact
 from fem_errbal.solvers import lu_banded_solve
 
@@ -259,12 +259,12 @@ class TestErrorCurve:
 class TestScaling:
     def test_round_trip_reproduces_unscaled_field(self):
         spec = catalog("bench-diffusion")
-        mesh = build_mesh(5)
-        plain = assemble_standard(spec, mesh, p=2)
         norm_u = l2_norm(lambda x: eval_exact(spec, "u", x))
-        scaled = scale_system(plain, "S", norm_u=norm_u)
-        u_plain = reconstruct(lu_banded_solve(plain), plain, "u")
-        u_scaled = reconstruct(lu_banded_solve(scaled), scaled, "u")
+        plain, plain_solve = solve_level(spec, "standard", 2, 5)
+        scaled, scaled_solve = solve_level(spec, "standard", 2, 5, norm_u)
+        u_plain = reconstruct(plain_solve, plain, "u")
+        u_scaled = reconstruct(scaled_solve, scaled, "u")
+        assert u_plain.scale_factor == 1.0
         assert u_scaled.scale_factor == norm_u
         x = np.random.default_rng(2).uniform(0, 1, 30)
         back = u_scaled(x) * u_scaled.scale_factor
@@ -272,10 +272,9 @@ class TestScaling:
 
     def test_scaled_frame_error_is_error_of_scaled_variable(self):
         spec = catalog("bench-diffusion")
-        mesh = build_mesh(5)
-        plain = assemble_standard(spec, mesh, p=2)
         norm_u = 0.71
-        scaled = scale_system(plain, "S", norm_u=norm_u)
-        e_plain = error_exact(reconstruct(lu_banded_solve(plain), plain, "u"), spec).value
-        e_scaled = error_exact(reconstruct(lu_banded_solve(scaled), scaled, "u"), spec).value
+        plain, plain_solve = solve_level(spec, "standard", 2, 5)
+        scaled, scaled_solve = solve_level(spec, "standard", 2, 5, norm_u)
+        e_plain = error_exact(reconstruct(plain_solve, plain, "u"), spec).value
+        e_scaled = error_exact(reconstruct(scaled_solve, scaled, "u"), spec).value
         assert abs(e_scaled - e_plain / norm_u) <= 1e-3 * e_scaled

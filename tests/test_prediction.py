@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fem_errbal import prediction
-from fem_errbal.assembly import assemble_mixed, scale_system
+from fem_errbal.assembly import assemble_mixed
 from fem_errbal.error_analysis import host_dof_count
 from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.prediction import (
@@ -383,16 +383,21 @@ class TestSingleLadder:
 class TestSolveLevel:
     def test_matches_the_pipeline_spelled_out(self):
         spec = catalog("bench-poisson")
-        factors = {"norm_u": 0.9, "norm_v": 3.7}
-        system, report = solve_level(spec, "mixed", 3, 4, "M1", factors)
-        assert system.scaling.scheme == "M1" and system.mesh.refinement_level == 4
-        manual = scale_system(assemble_mixed(spec, build_mesh(4), 3), "M1", **factors)
+        system, report = solve_level(spec, "mixed", 3, 4, 3.7)
+        assert system.frame == 3.7 and system.mesh.refinement_level == 4
+        manual = assemble_mixed(spec, build_mesh(4), 3)
+        manual = dataclasses.replace(manual, rhs=manual.rhs / 3.7, frame=3.7)
         np.testing.assert_array_equal(report.x, lu_banded_solve(manual).x)
 
     def test_unscaled_by_default(self):
         system, report = solve_level(catalog("bench-poisson"), "standard", 2, 3)
-        assert system.scaling.scheme == "none"
+        assert system.frame == 1.0
         assert report.method == "lu" and report.x.shape == (system.n_unknowns,)
+
+    @pytest.mark.parametrize("frame", [0.0, -0.5, np.nan])
+    def test_frame_must_be_positive(self, frame):
+        with pytest.raises(ValueError, match="frame must be positive"):
+            solve_level(catalog("bench-poisson"), "standard", 2, 3, frame)
 
     def test_unknown_flavor_rejected(self):
         with pytest.raises(ValueError, match="unknown flavor"):
@@ -462,6 +467,19 @@ class TestBruteForceSweep:
     def test_unavailable_variable_rejected(self):
         with pytest.raises(ValueError):
             brute_force_sweep(catalog("bench-poisson"), "standard", 1, "uxx")
+
+    @pytest.mark.parametrize("var, key", [("u", "norm_u"), ("ux", "norm_v")])
+    def test_m1_errors_are_the_unscaled_ones_divided_by_their_norm(self, var, key):
+        # before the floor the frame changes only the measuring stick: u is
+        # divided by ||u||, the gradient variables by ||u_x||
+        spec = catalog("bench-poisson")
+        factors = exact_norm_factors(spec, "M1")
+        framed = brute_force_sweep(spec, "mixed", 3, var, scheme="M1", n_max=190)
+        plain = brute_force_sweep(spec, "mixed", 3, var, scheme="none", n_max=190)
+        assert [r.n_dof for r in framed] == [r.n_dof for r in plain]
+        assert len(plain) == 7 and min(r.value for r in plain) > 1e-10  # all pre-floor
+        np.testing.assert_allclose([r.value for r in framed],
+                                   [r.value / factors[key] for r in plain], rtol=1e-6)
 
     @pytest.mark.parametrize("estimator, solved", [("exact", [0]), ("refined", [0, 1])])
     def test_nan_load_raises_within_two_levels(self, monkeypatch, estimator, solved):

@@ -11,9 +11,9 @@ from fem_errbal.assembly import (
     BandedMatrix,
     assemble_mixed,
     assemble_standard,
-    scale_system,
 )
 from fem_errbal.mesh_basis import build_mesh
+from fem_errbal.prediction import frame_divisor, solve_level
 from fem_errbal.problem import catalog
 from fem_errbal.solvers import (
     BandedLU,
@@ -89,14 +89,17 @@ class TestBandedLU:
          ("bench-poisson", "mixed", "M2"), ("bench-helmholtz", "mixed", "M2")],
     )
     def test_solve_leaves_the_shared_band_unwritten(self, name, flavor, scheme):
-        # S and M2 share the band with the unscaled system, and dgbtrf must
-        # factor a copy of it
+        # a frame shares the band with the unscaled system, and dgbtrf must
+        # factor a copy of it: solve_level's LU and a second one leave it as
+        # it was assembled
         assemble = assemble_standard if flavor == "standard" else assemble_mixed
-        system = assemble(catalog(name), build_mesh(4), 3)
-        scaled = scale_system(system, scheme, norm_u=0.9)
-        ab, rhs = system.matrix.ab.copy(), scaled.rhs.copy()
+        frame = frame_divisor(scheme, "u", {"norm_u": 0.9})
+        scaled, _ = solve_level(catalog(name), flavor, 3, 4, frame)
+        assembled = assemble(catalog(name), build_mesh(4), 3)
+        assert scaled.matrix.ab.tobytes() == assembled.matrix.ab.tobytes()
+        ab, rhs = scaled.matrix.ab.copy(), scaled.rhs.copy()
         lu_banded_solve(scaled)
-        assert system.matrix.ab.tobytes() == ab.tobytes()
+        assert scaled.matrix.ab.tobytes() == ab.tobytes()
         assert scaled.rhs.tobytes() == rhs.tobytes()
 
 
@@ -185,11 +188,11 @@ class TestSchur:
         assert rel <= 1e-9
 
     def test_matches_monolithic_under_m1_scaling(self):
-        # M1 scales B by norm_u/norm_v and leaves the second-equation block alone
-        spec = catalog("bench-poisson")
-        system = scale_system(assemble_mixed(spec, build_mesh(4), 3), "M1", norm_u=0.9, norm_v=3.7)
-        assert system.blocks.pure_saddle
-        direct = lu_banded_solve(system)
+        # M1 frames u_xx by dividing the right-hand side by ||u_x||; the
+        # blocks stay a pure saddle
+        frame = frame_divisor("M1", "uxx", {"norm_u": 0.9, "norm_v": 3.7})
+        system, direct = solve_level(catalog("bench-poisson"), "mixed", 3, 4, frame)
+        assert system.frame == 3.7 and system.blocks.pure_saddle
         seg = schur_solve(system, outer_tol=1e-13)
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
         assert rel <= 1e-9
