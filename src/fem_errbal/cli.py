@@ -28,7 +28,7 @@ from .calibration import SUITE_STREAK, sensitivity_suite
 from .error_analysis import beta_R, beta_T, variable_available, write_curve_csv
 from .mesh_basis import MAX_DEGREE
 from .prediction import (AlgorithmDefaults, PredictionResult, brute_force_sweep,
-                         frame_divisor, prediction_loop, solve_level)
+                         prediction_loop, solve_level)
 from .problem import CATALOG_NAMES, VARIABLES, catalog
 
 _FLAVORS = ("standard", "mixed")
@@ -262,12 +262,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _timed_optimal_solve(spec, args: argparse.Namespace, result: PredictionResult) -> float:
-    """One solve on the predicted optimal mesh, timed; the PRED+ increment."""
+    """One solve on the predicted optimal mesh, timed; the PRED+ increment.
+
+    NaN without a solve when that mesh exceeds the --n-max cap.
+    """
+    if result.N_opt_mesh > args.n_max:
+        return float("nan")
     start = time.perf_counter()
-    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref,
-                frame_divisor(result.scheme, result.var, result.factors), args.solver,
-                args.tol_prm)
+    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref, result.frame,
+                args.solver, args.tol_prm)
     return time.perf_counter() - start
+
+
+def _timing(value: float, spec: str, unit: str) -> str:
+    """A measured time or share with its unit; 'nan' for one not measured."""
+    return f"{value:{spec}}{unit}" if np.isfinite(value) else "nan"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -294,14 +303,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
             f"{args.fem},{p},{var},{result.status},{_fmt(result.E_min)},"
             f"{result.N_opt_mesh},{_fmt(low.value)},{low.n_dof}"
         )
+        pred, plus, bf = (_timing(t, ".3f", "s") for t in (t_pred, t_plus, t_bf))
+        share = _timing(saved, ".1f", "%")
         timing_lines.append(
-            f"# timing {args.fem} p={p} {var}: PRED {t_pred:.3f}s "
-            f"PRED+ {t_plus:.3f}s BF {t_bf:.3f}s saved {saved:.1f}%"
+            f"# timing {args.fem} p={p} {var}: PRED {pred} PRED+ {plus} BF {bf} saved {share}"
         )
         print(
             f"{p:>3} {var:<4} {result.E_min:>12.3e} {low.value:>12.3e} "
-            f"{result.N_opt_mesh:>11} {low.n_dof:>9} {t_pred:>7.3f}s {t_plus:>7.3f}s "
-            f"{t_bf:>7.3f}s {saved:>6.1f}%"
+            f"{result.N_opt_mesh:>11} {low.n_dof:>9} {pred:>8} {plus:>8} {bf:>8} {share:>7}"
         )
     directory = _out_dir(args)
     path = directory / f"validate_{spec.label}_{args.fem}.csv"

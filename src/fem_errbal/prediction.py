@@ -14,16 +14,16 @@ measured convergence rate first reaches the theoretical order (relaxed by
 c_r); beta_T comes from the convergence table; alpha_R and beta_R come from
 the calibrated round-off model.
 
-Every scaling scheme only picks the frame the errors are measured in, one
-positive divisor per measured variable (`frame_divisor`): ||u|| under S and
-M2, and under M1 ||u|| for u and ||u_x|| for u_x and u_xx.  Each coarse
-level is solved once, unscaled.  The NORMALIZATION stage reads those norms
-from the same solves, refining until the norm changes by less than c_s, and
-the errors are divided by the frame, which keeps the alpha_R offsets
+Every scaling scheme only picks the frame the errors are measured in: the L2
+norm of one variable (`frame_variable`), ||u|| under S and M2, and under M1
+||u|| for u and ||u_x|| for u_x and u_xx.  Each coarse
+level is solved once, unscaled.  The NORMALIZATION stage reads that one norm
+from the same solves, refining until it changes by less than c_s, and the
+errors are divided by it, which keeps the alpha_R offsets
 magnitude-independent.  A brute-force sweep over the full ladder serves as
 the validation baseline; it divides each level's right-hand side by the
-frame, with norms from the closed form or from a separate `normalization`
-ladder.
+frame, the closed-form norm or, without a closed form, the norm settled by
+the same c_s rule on its own unscaled ladder.
 """
 
 from __future__ import annotations
@@ -119,18 +119,14 @@ def predict_opt(model: ErrorModel) -> tuple[float, float]:
 
 class NormalizationError(RuntimeError):
     def __init__(self, last_norm: float, refinement_level: int):
-        super().__init__(
-            f"norm estimate did not stabilize before the DoF cap "
-            f"(last value {last_norm:.6e} at refinement {refinement_level})"
-        )
+        if np.isfinite(last_norm):
+            message = (f"norm estimate did not stabilize before the DoF cap "
+                       f"(last value {last_norm:.6e} at refinement {refinement_level})")
+        else:
+            message = f"norm estimate is {last_norm} at refinement {refinement_level}"
+        super().__init__(message)
         self.last_norm = last_norm
         self.refinement_level = refinement_level
-
-
-@dataclass
-class NormalizationResult:
-    factor: float
-    refinement_level: int
 
 
 def solve_level(
@@ -145,7 +141,7 @@ def solve_level(
     """Assemble one level of the refinement ladder and solve it in a frame.
 
     The right-hand side is divided by frame, which divides every unknown by
-    it; `frame_divisor` gives the frame of a scaling scheme.
+    it; a scaling scheme's frame is the norm of its `frame_variable`.
     """
     if not frame > 0:
         raise ValueError("the frame must be positive")
@@ -162,7 +158,7 @@ def solve_level(
 
 
 def _settled_norm(norm_at: Callable[[int], float], spec: ProblemSpec, flavor: str, var: str,
-                  p: int, defaults: AlgorithmDefaults) -> NormalizationResult:
+                  p: int, defaults: AlgorithmDefaults) -> float:
     """The c_s stop rule on norm_at(level), the L2 norm of var at that level.
 
     Refines until the norm changes by less than c_s relative between adjacent
@@ -176,35 +172,10 @@ def _settled_norm(norm_at: Callable[[int], float], spec: ProblemSpec, flavor: st
         if not np.isfinite(cur):
             break  # a NaN or inf norm never stabilizes
         if cur != 0.0 and abs((cur - prev) / cur) < defaults.c_s:
-            return NormalizationResult(factor=cur, refinement_level=level)
+            return cur
         level += 1
         prev, cur = cur, norm_at(level)
     raise NormalizationError(cur, level)
-
-
-def normalization(
-    spec: ProblemSpec,
-    flavor: str,
-    var: str,
-    p_min: int,
-    defaults: Optional[AlgorithmDefaults] = None,
-    solver: str = "lu",
-) -> NormalizationResult:
-    """Estimate ||var||_2 from unscaled solves with the smallest degree in play.
-
-    Refines until the norm changes by less than c_s relative between adjacent
-    levels (the rule `prediction_loop` applies to its own ladder).  The
-    brute-force sweep of a problem without a closed form scales by this norm.
-    """
-    defaults = defaults if defaults is not None else AlgorithmDefaults()
-    if not variable_available(flavor, var, p_min):
-        raise ValueError(f"{var} is not available for {flavor} degree {p_min}")
-
-    def norm_at(ref: int) -> float:
-        system, report = solve_level(spec, flavor, p_min, ref, solver=solver)
-        return l2_norm(reconstruct(report, system, var))
-
-    return _settled_norm(norm_at, spec, flavor, var, p_min, defaults)
 
 
 def default_scheme(flavor: str, var: str) -> str:
@@ -214,42 +185,23 @@ def default_scheme(flavor: str, var: str) -> str:
     return "M1" if var == "uxx" else "M2"
 
 
-# factor name -> the variable whose L2 norm it is, per scheme; the gradient
-# unknown satisfies v = -u_x, so norm_v is ||u_x||
-_FRAME_NORMS = {
-    "none": {},
-    "S": {"norm_u": "u"},
-    "M1": {"norm_u": "u", "norm_v": "ux"},
-    "M2": {"norm_u": "u"},
-}
+def frame_variable(flavor: str, scheme: str, var: str) -> Optional[str]:
+    """The variable whose L2 norm puts var in the scheme's frame; None under 'none'.
 
-
-def _frame_norms(flavor: str, scheme: str) -> Dict[str, str]:
-    """The scheme's factor names and variables; raises when it does not fit the formulation.
-
-    Callers run it before any solve, so a bad scheme costs nothing.
+    It is u under S and M2 and for u under M1, and ux for u_x and u_xx under
+    M1 (the gradient unknown satisfies v = -u_x).  Raises when the scheme does
+    not fit the formulation; callers run it before any solve, so a bad scheme
+    costs nothing.
     """
     if scheme == "S" and flavor != "standard":
         raise ValueError("scheme S applies to the standard formulation")
     if scheme in ("M1", "M2") and flavor != "mixed":
         raise ValueError(f"scheme {scheme} applies to the mixed formulation")
-    if scheme not in _FRAME_NORMS:
+    if scheme not in ("none", "S", "M1", "M2"):
         raise ValueError(f"unknown scaling scheme {scheme!r}")
-    return _FRAME_NORMS[scheme]
-
-
-def frame_divisor(scheme: str, var: str, factors: Dict[str, float]) -> float:
-    """The one divisor that puts var in the scheme's frame.
-
-    It is ||u|| under S and M2 and for u under M1, ||u_x|| for u_x and u_xx
-    under M1, and 1 under 'none'.  factors maps norm_u and norm_v to those
-    norms; a missing one counts as 1.
-    """
     if scheme == "none":
-        return 1.0
-    if any(value <= 0 for value in factors.values()):
-        raise ValueError("scaling factors must be positive")
-    return factors.get("norm_v" if scheme == "M1" and var != "u" else "norm_u", 1.0)
+        return None
+    return "ux" if scheme == "M1" and var != "u" else "u"
 
 
 @dataclass
@@ -269,7 +221,7 @@ class PredictionResult:
     # (an error estimate came out NaN or inf)
     status: str
     refinements_used: int
-    factors: Dict[str, float]
+    frame: float  # the norm each error estimate is divided by; 1 under 'none'
     N_c: Optional[int] = None
     E_c: Optional[float] = None
     model: Optional[ErrorModel] = None
@@ -297,7 +249,6 @@ def prediction_loop(
     tol_var: Optional[float] = None,
     defaults: Optional[AlgorithmDefaults] = None,
     scheme: str = "auto",
-    factors: Optional[Dict[str, float]] = None,
     solver: str = "lu",
     tol_prm: float = 1e-10,
 ) -> PredictionResult:
@@ -305,9 +256,8 @@ def prediction_loop(
 
     Walks the refinement ladder with unscaled solves, solving each level once,
     and estimates the error against the once-refined level.  The scheme fixes
-    the frame: each estimate is divided by its variable's factor, ||u|| (and
-    ||u_x|| for the gradient variables under M1), read from the same ladder by
-    the c_s rule unless `factors` supplies it.  At each level the loop first
+    the frame: each estimate is divided by the norm of the `frame_variable`,
+    read from the same ladder by the c_s rule.  At each level the loop first
     checks that the estimate still sits above the modeled round-off band and
     below the DoF cap, then accepts the first level whose observed rate
     reaches beta_T c_r; the anchor fixes alpha_T and the closed form gives
@@ -319,9 +269,8 @@ def prediction_loop(
         raise ValueError(f"{var} is not available for {flavor} degree {p}")
     if scheme == "auto":
         scheme = default_scheme(flavor, var)
-    norms = _frame_norms(flavor, scheme)
-    given = factors or {}
-    names = {var} | {name for key, name in norms.items() if key not in given}
+    frame_var = frame_variable(flavor, scheme, var)
+    names = {var, frame_var} - {None}
 
     fields: Dict[tuple[int, str], FieldView] = {}
     estimates: Dict[int, float] = {}
@@ -332,18 +281,13 @@ def prediction_loop(
             fields.update({(level, n): reconstruct(report, system, n) for n in names})
         return fields[(level, name)]
 
-    resolved = {
-        key: given[key] if key in given else _settled_norm(
-            lambda level: l2_norm(field_at(level, name)), spec, flavor, name, p, defaults
-        ).factor
-        for key, name in norms.items()
-    }
-    divisor = frame_divisor(scheme, var, resolved)
-    names = {var}  # the norms are settled; levels solved from here on need only var
+    frame = 1.0 if frame_var is None else _settled_norm(
+        lambda level: l2_norm(field_at(level, frame_var)), spec, flavor, frame_var, p, defaults)
+    names = {var}  # the norm is settled; levels solved from here on need only var
 
     def estimate(level: int) -> float:
         if level not in estimates:
-            estimates[level] = error_refined(field_at(level), field_at(level + 1)).value / divisor
+            estimates[level] = error_refined(field_at(level), field_at(level + 1)).value / frame
         return estimates[level]
 
     beta_t = float(beta_T(flavor, var, p))
@@ -384,7 +328,7 @@ def prediction_loop(
         scheme=scheme,
         status=status,
         refinements_used=max(estimates) + 1,
-        factors=resolved,
+        frame=frame,
     )
     if anchor is not None:
         n_c, e_c = anchor
@@ -410,19 +354,12 @@ def prediction_loop(
     return result
 
 
-def exact_norm_factors(spec: ProblemSpec, scheme: str) -> Dict[str, float]:
-    """Scaling factors from closed-form solutions, for problems that have them."""
-    return {key: l2_norm(lambda x: eval_exact(spec, name, x))
-            for key, name in _FRAME_NORMS[scheme].items()}
-
-
 def brute_force_sweep(
     spec: ProblemSpec,
     flavor: str,
     p: int,
     var: str,
     scheme: str = "auto",
-    factors: Optional[Dict[str, float]] = None,
     n_max: Optional[int] = None,
     rise_streak: Optional[int] = 3,
     solver: str = "lu",
@@ -430,8 +367,9 @@ def brute_force_sweep(
 ) -> ErrorCurve:
     """Walk the ladder measuring the error at every level; the baseline method.
 
-    Each level is solved in var's frame (`frame_divisor`), with the factors
-    from the closed form or from `normalization` unless given.  Uses the
+    Each level is solved in var's frame, the L2 norm of its `frame_variable`:
+    the closed-form norm, or without a closed form the norm settled by the c_s
+    rule on unscaled solves (at the default tol_prm).  Uses the
     exact-solution error when available, the once-refined estimate
     otherwise.  Stops at the DoF cap or, when rise_streak is set, after that
     many consecutive error increases, which marks the round-off branch well
@@ -446,14 +384,17 @@ def brute_force_sweep(
         raise ValueError(f"{var} is not available for {flavor} degree {p}")
     if scheme == "auto":
         scheme = default_scheme(flavor, var)
-    norms = _frame_norms(flavor, scheme)
-    if factors is None:
-        if spec.has_exact:
-            factors = exact_norm_factors(spec, scheme)
-        else:
-            factors = {key: normalization(spec, flavor, name, p, defaults, solver).factor
-                       for key, name in norms.items()}
-    frame = frame_divisor(scheme, var, factors)
+    frame_var = frame_variable(flavor, scheme, var)
+    if frame_var is None:
+        frame = 1.0
+    elif spec.has_exact:
+        frame = l2_norm(lambda x: eval_exact(spec, frame_var, x))
+    else:
+        def norm_at(level: int) -> float:
+            system, report = solve_level(spec, flavor, p, level, solver=solver)
+            return l2_norm(reconstruct(report, system, frame_var))
+
+        frame = _settled_norm(norm_at, spec, flavor, frame_var, p, defaults)
     cap = n_max if n_max is not None else defaults.n_max
 
     curve = ErrorCurve()

@@ -24,7 +24,6 @@ from fem_errbal.prediction import (
     AlgorithmDefaults,
     ErrorModel,
     brute_force_sweep,
-    frame_divisor,
     predict_opt,
     prediction_loop,
     solve_level,
@@ -259,7 +258,7 @@ def _memory_safe_ref(flavor: str, p: int, complex_valued: bool) -> int:
 def _timed_prediction_plus(spec, flavor, p, var, defaults, target_ref):
     start = time.perf_counter()
     result = prediction_loop(spec, flavor, p, var, defaults=defaults)
-    solve_level(spec, flavor, p, target_ref, frame_divisor(result.scheme, var, result.factors))
+    solve_level(spec, flavor, p, target_ref, result.frame)
     return result, time.perf_counter() - start
 
 

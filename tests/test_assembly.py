@@ -19,7 +19,7 @@ from fem_errbal.assembly import (
 )
 from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
-from fem_errbal.prediction import brute_force_sweep, frame_divisor, prediction_loop, solve_level
+from fem_errbal.prediction import brute_force_sweep, prediction_loop, solve_level
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
 
 from banded import add_at_assembly, from_dense, to_dense
@@ -311,18 +311,13 @@ class TestScaling:
         return system, assemble(catalog(name), build_mesh(level), p)
 
     def test_scheme_s_divides_rhs(self):
-        frame = frame_divisor("S", "u", {"norm_u": 0.92})
-        assert frame == 0.92
-        system, plain = self._framed("bench-poisson", "standard", frame)
+        system, plain = self._framed("bench-poisson", "standard", 0.92)
         _assert_same_bits(system.rhs, plain.rhs / 0.92)
         _assert_same_bits(system.matrix.ab, plain.matrix.ab)
         assert system.frame == 0.92 and plain.frame == 1.0
 
     @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
     def test_scheme_m1_divides_rhs_by_the_gradient_norm(self, name):
-        factors = {"norm_u": 0.9, "norm_v": 3.7}
-        assert frame_divisor("M1", "u", factors) == 0.9
-        assert frame_divisor("M1", "ux", factors) == frame_divisor("M1", "uxx", factors) == 3.7
         system, plain = self._framed(name, "mixed", 3.7, level=2)
         # no column is scaled: the band is the assembled one
         _assert_same_bits(system.matrix.ab, plain.matrix.ab)
@@ -330,9 +325,7 @@ class TestScaling:
         assert system.frame == 3.7
 
     def test_scheme_m2_divides_rhs(self):
-        frame = frame_divisor("M2", "uxx", {"norm_u": 2.0})
-        assert frame == 2.0
-        system, plain = self._framed("bench-poisson", "mixed", frame, level=2)
+        system, plain = self._framed("bench-poisson", "mixed", 2.0, level=2)
         _assert_same_bits(system.rhs, plain.rhs / 2.0)
         _assert_same_bits(system.matrix.ab, plain.matrix.ab)
 
@@ -350,7 +343,7 @@ class TestScaling:
     def test_input_left_unwritten(self, name, scheme):
         # the frame divides a new right-hand side, and the LU factors a copy
         # of the band: after the solve the band is still the assembled one
-        frame = frame_divisor(scheme, "ux", {"norm_u": 0.9, "norm_v": 3.7})
+        frame = 3.7 if scheme == "M1" else 0.9  # ||u_x|| frames ux under M1, ||u|| otherwise
         system, plain = self._framed(name, "standard" if scheme == "S" else "mixed", frame)
         _assert_same_bits(system.matrix.ab, plain.matrix.ab)
         _assert_same_bits(system.rhs, plain.rhs / frame)
@@ -360,7 +353,7 @@ class TestScaling:
             raise AssertionError("a level was solved before the scheme was checked")
 
         monkeypatch.setattr(prediction, "solve_level", no_solve)
-        # no closed form, so a frame norm would need a normalization ladder
+        # no closed form, so the frame norm would need a ladder of unscaled solves
         spec = catalog("validation-helmholtz")
         for flavor, scheme, message in [
             ("standard", "M1", "scheme M1 applies to the mixed formulation"),
@@ -370,6 +363,3 @@ class TestScaling:
             for run in (brute_force_sweep, prediction_loop):
                 with pytest.raises(ValueError, match=message):
                     run(spec, flavor, 2, "u", scheme=scheme)
-        with pytest.raises(ValueError, match="scaling factors must be positive"):
-            frame_divisor("M1", "u", {"norm_u": 1.0, "norm_v": -1.0})
-        assert frame_divisor("none", "u", {"norm_u": -1.0}) == 1.0

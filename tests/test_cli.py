@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from fem_errbal import prediction
+from fem_errbal import cli, prediction
 from fem_errbal.cli import (
     ConfigError,
     _parse_config_file,
@@ -22,6 +22,7 @@ from fem_errbal.cli import (
     _parse_variables,
     main,
 )
+from fem_errbal.error_analysis import host_dof_count
 from fem_errbal.problem import CATALOG_NAMES
 
 _JSON_FIELDS = [
@@ -235,6 +236,33 @@ class TestValidate:
 
         assert stable(tmp_path / "a" / name) == stable(tmp_path / "b" / name)
 
+    def test_optimal_mesh_beyond_the_cap_is_not_solved(self, tmp_path, capsys, monkeypatch):
+        levels = []
+        original = prediction.solve_level
+
+        def recording_solve_level(*args, **kwargs):
+            levels.append(args[3])
+            return original(*args, **kwargs)
+
+        # prediction and brute force solve through the first, PRED+ through the second
+        monkeypatch.setattr(prediction, "solve_level", recording_solve_level)
+        monkeypatch.setattr(cli, "solve_level", recording_solve_level)
+        code = main(["validate", "--problem", "bench-poisson", "--fem", "mixed", "--p", "1",
+                     "--var", "u", "--n-max", "1000", "--out-dir", str(tmp_path)])
+        assert code == 0
+        # brute force stops on the first level that reaches the cap
+        cap_level = next(level for level in range(40)
+                         if host_dof_count("mixed", "u", 1, 1 << level, False) >= 1000)
+        assert levels and max(levels) <= cap_level
+        lines = (tmp_path / "validate_bench-poisson_mixed.csv").read_text().splitlines()
+        (row,) = [ln for ln in lines if ln.startswith("mixed,")]
+        assert int(row.split(",")[5]) > 1000  # the predicted N_opt_mesh
+        (timing,) = [ln for ln in lines if ln.startswith("# timing")]
+        assert " PRED+ nan " in timing and timing.endswith(" saved nan")
+        (shown,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("  1 u ")]
+        t_pred, t_plus, t_bf, saved = shown.split()[-4:]
+        assert t_plus == saved == "nan" and t_pred.endswith("s") and t_bf.endswith("s")
+
 
 class TestCalibrate:
     def test_solver_suite_files(self, tmp_path, capsys):
@@ -371,7 +399,7 @@ class TestExitCodes:
             raise AssertionError("a level was solved before the scheme was checked")
 
         monkeypatch.setattr(prediction, "solve_level", no_solve)
-        # no closed form: the frame norm would need a normalization ladder
+        # no closed form: the frame norm would need a ladder of unscaled solves
         code = main(["sweep", "--problem", "validation-helmholtz", "--fem", "mixed",
                      "--scheme", "S", "--out-dir", str(tmp_path)])
         assert code == 2

@@ -12,7 +12,7 @@ import pytest
 
 from fem_errbal import prediction
 from fem_errbal.assembly import assemble_mixed
-from fem_errbal.error_analysis import host_dof_count
+from fem_errbal.error_analysis import host_dof_count, l2_norm
 from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.prediction import (
     AlgorithmDefaults,
@@ -20,21 +20,50 @@ from fem_errbal.prediction import (
     NormalizationError,
     brute_force_sweep,
     default_scheme,
-    exact_norm_factors,
     fit_alpha_T,
-    normalization,
+    frame_variable,
     predict_opt,
     prediction_loop,
     solve_level,
 )
-from fem_errbal.problem import catalog
+from fem_errbal.problem import catalog, eval_exact
 from fem_errbal.solvers import lu_banded_solve
+
+# the variable each norm is taken of; the gradient unknown satisfies v = -u_x
+_NORM_OF = {"norm_u": "u", "norm_v": "ux"}
 
 
 def _nan_load():
     return dataclasses.replace(
         catalog("bench-poisson"), f=lambda x: np.full(np.shape(x), np.nan)
     )
+
+
+def _without_closed_form(spec):
+    return dataclasses.replace(spec, exact_u=None, exact_ux=None, exact_uxx=None)
+
+
+def _recorded_solves(run, *args, **kwargs):
+    """run's result, and the (level, frame) of every level it solves, in order."""
+    solves = []
+
+    def recording_solve_level(*level_args, **level_kwargs):
+        system, report = solve_level(*level_args, **level_kwargs)
+        solves.append((system.mesh.refinement_level, system.frame))
+        return system, report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prediction, "solve_level", recording_solve_level)
+        result = run(*args, **kwargs)
+    return result, solves
+
+
+def _sweep_frames(spec, flavor, p, var, scheme="auto"):
+    """A short brute-force sweep's unscaled norm-ladder levels and its frames."""
+    _, solves = _recorded_solves(brute_force_sweep, spec, flavor, p, var, scheme=scheme,
+                                 n_max=10)
+    return ([level for level, frame in solves if frame == 1.0],
+            {frame for _, frame in solves if frame != 1.0})
 
 
 class StubbornDefaults(AlgorithmDefaults):
@@ -175,42 +204,56 @@ class TestAlgorithmDefaults:
 
 
 class TestNormalization:
+    """The c_s norm ladder, seen through brute force without a closed form and
+    through prediction_loop(...).frame; brute force's ladder is capped only by
+    the default DoF cap, so a short sweep shows all of it."""
+
     def test_linear_solution_exact_norm(self):
         # u = x reproduced exactly at any level: accepted at the first comparison
-        res = normalization(catalog("case5", coefficient=1.0), "standard", "u", 1)
-        assert res.factor == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-10)
-        assert res.refinement_level == 8
+        spec = catalog("case5", coefficient=1.0)
+        levels, frames = _sweep_frames(_without_closed_form(spec), "standard", 1, "u")
+        assert levels == [7, 8]
+        (frame,) = frames
+        assert frame == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-10)
+        assert prediction_loop(spec, "standard", 1, "u").frame == frame
 
     def test_bench_poisson_magnitude(self):
-        res = normalization(catalog("bench-poisson"), "standard", "u", 1)
-        assert abs(res.factor - 0.92) <= 0.01
-        assert res.refinement_level == 8
+        levels, frames = _sweep_frames(
+            _without_closed_form(catalog("bench-poisson")), "standard", 1, "u")
+        assert levels == [7, 8]
+        (frame,) = frames
+        assert abs(frame - 0.92) <= 0.01
 
     def test_oscillatory_needs_extra_levels(self):
         # 100 oscillation periods: the start level underresolves, the loop refines
-        res = normalization(catalog("case1", coefficient=100.0), "standard", "u", 2)
+        spec = _without_closed_form(catalog("case1", coefficient=100.0))
+        levels, frames = _sweep_frames(spec, "standard", 2, "u")
+        assert levels == [6, 7, 8, 9, 10, 11]
         exact = (1.0 / np.sqrt(2.0)) / (200.0 * np.pi) ** 2
-        assert res.factor == pytest.approx(exact, rel=1e-3)
-        assert res.refinement_level == 11
+        assert frames.pop() == pytest.approx(exact, rel=1e-3)
 
     def test_unavailable_variable_rejected(self):
+        spec = _without_closed_form(catalog("bench-poisson"))
         with pytest.raises(ValueError):
-            normalization(catalog("bench-poisson"), "standard", "uxx", 1)
+            brute_force_sweep(spec, "standard", 1, "uxx")
 
     def test_cap_raises_with_state(self):
-        with pytest.raises(NormalizationError) as err:
-            normalization(
-                catalog("bench-poisson"), "standard", "u", 1,
+        with pytest.raises(NormalizationError, match="did not stabilize before the DoF cap") as err:
+            prediction_loop(
+                catalog("bench-poisson"), "standard", 1, "u",
                 defaults=AlgorithmDefaults(n_max=200),
             )
         assert err.value.refinement_level == 8
         assert err.value.last_norm > 0
 
     def test_non_finite_norm_raises_at_once(self):
-        with pytest.raises(NormalizationError) as err:
-            normalization(_nan_load(), "standard", "u", 1)
-        assert err.value.refinement_level == 8
-        assert np.isnan(err.value.last_norm)
+        for run, spec in [(prediction_loop, _nan_load()),
+                          (brute_force_sweep, _without_closed_form(_nan_load()))]:
+            with pytest.raises(NormalizationError) as err:
+                run(spec, "standard", 1, "u")
+            assert str(err.value) == "norm estimate is nan at refinement 8"
+            assert err.value.refinement_level == 8
+            assert np.isnan(err.value.last_norm)
 
 
 class TestSchemeSelection:
@@ -221,14 +264,33 @@ class TestSchemeSelection:
         assert default_scheme("mixed", "ux") == "M2"
         assert default_scheme("mixed", "uxx") == "M1"
 
-    def test_exact_norm_factors_keys_and_values(self):
-        spec = catalog("case4", coefficient=1.0)  # u = sin(2 pi x) / 2 pi
-        m1 = exact_norm_factors(spec, "M1")
-        assert sorted(m1) == ["norm_u", "norm_v"]
-        assert m1["norm_u"] == pytest.approx(1.0 / (2.0 * np.pi * np.sqrt(2.0)), rel=1e-8)
-        assert m1["norm_v"] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-8)
-        assert sorted(exact_norm_factors(spec, "S")) == ["norm_u"]
-        assert exact_norm_factors(spec, "none") == {}
+    def test_frame_variable_table(self):
+        for flavor, scheme, want in [
+            ("standard", "S", {"u": "u", "ux": "u", "uxx": "u"}),
+            ("mixed", "M2", {"u": "u", "ux": "u", "uxx": "u"}),
+            ("mixed", "M1", {"u": "u", "ux": "ux", "uxx": "ux"}),
+            ("standard", "none", {"u": None, "ux": None, "uxx": None}),
+            ("mixed", "none", {"u": None, "ux": None, "uxx": None}),
+        ]:
+            assert {var: frame_variable(flavor, scheme, var) for var in want} == want
+
+    def test_closed_form_frames(self):
+        # u = sin(2 pi x) / 2 pi: ||u|| = 1 / (2 pi sqrt 2), ||u_x|| = 1 / sqrt 2
+        spec = catalog("case4", coefficient=1.0)
+        norm_u, norm_ux = 1.0 / (2.0 * np.pi * np.sqrt(2.0)), 1.0 / np.sqrt(2.0)
+        for flavor, var, scheme, want in [
+            ("standard", "ux", "S", norm_u),
+            ("mixed", "u", "M1", norm_u),
+            ("mixed", "uxx", "M1", norm_ux),
+            ("mixed", "uxx", "M2", norm_u),
+            ("mixed", "uxx", "none", 1.0),
+        ]:
+            _, solves = _recorded_solves(brute_force_sweep, spec, flavor, 2, var, scheme=scheme,
+                                         n_max=10)
+            levels = [level for level, _ in solves]
+            assert levels == list(range(len(levels)))  # no norm ladder before the sweep
+            (frame,) = {frame for _, frame in solves}
+            assert frame == pytest.approx(want, rel=1e-8)
 
 
 class TestPredictionLoop:
@@ -293,18 +355,8 @@ class TestPredictionLoop:
         assert a.E_min == b.E_min
         assert a.N_c == b.N_c
 
-    def test_factor_reuse_across_variables(self):
-        spec = catalog("validation-helmholtz")
-        res_u = prediction_loop(spec, "mixed", 2, "u")
-        assert sorted(res_u.factors) == ["norm_u"]
-        res_2 = prediction_loop(spec, "mixed", 2, "uxx", factors=res_u.factors)
-        # norm_u is taken over verbatim, norm_v is measured fresh for scheme M1
-        assert res_2.factors["norm_u"] == res_u.factors["norm_u"]
-        assert res_2.factors["norm_v"] > 0
-        assert res_2.factors["norm_v"] != 1.0
-
     def test_nan_load_reports_non_finite(self):
-        res = prediction_loop(_nan_load(), "standard", 2, "u", factors={"norm_u": 1.0})
+        res = prediction_loop(_nan_load(), "standard", 2, "u", scheme="none")
         assert res.status == "non_finite"
         assert res.model is None
         assert res.refinements_used == 8  # stops at the first estimate
@@ -313,33 +365,23 @@ class TestPredictionLoop:
         res = prediction_loop(
             catalog("case5", coefficient=1.0), "standard", 1, "u", scheme="none"
         )
-        assert res.factors == {}
+        assert res.frame == 1.0
 
 
 class TestSingleLadder:
-    """prediction_loop solves each level once and reads its factors off that ladder."""
-
-    @pytest.fixture
-    def solved_levels(self, monkeypatch):
-        levels = []
-
-        def counting_solve_level(*args, **kwargs):
-            levels.append(args[3])
-            return solve_level(*args, **kwargs)
-
-        monkeypatch.setattr(prediction, "solve_level", counting_solve_level)
-        return levels
+    """prediction_loop solves each level once and reads its frame norm off that ladder."""
 
     @pytest.mark.parametrize("name, flavor, p, var", [
         ("bench-poisson", "standard", 2, "u"),
         ("bench-poisson", "mixed", 4, "u"),
         ("bench-poisson", "mixed", 2, "uxx"),
     ])
-    def test_each_level_solved_at_most_once(self, solved_levels, name, flavor, p, var):
-        res = prediction_loop(catalog(name), flavor, p, var)
+    def test_each_level_solved_at_most_once(self, name, flavor, p, var):
+        res, solves = _recorded_solves(prediction_loop, catalog(name), flavor, p, var)
         assert res.status == "converged"
-        assert sorted(solved_levels) == sorted(set(solved_levels))
-        assert max(solved_levels) >= res.refinements_used
+        levels = [level for level, _ in solves]
+        assert sorted(levels) == sorted(set(levels))
+        assert max(levels) >= res.refinements_used
 
     @pytest.mark.parametrize("name, flavor, p, var", [
         ("bench-poisson", "standard", 2, "u"),
@@ -349,12 +391,11 @@ class TestSingleLadder:
     ])
     def test_factors_equal_normalization(self, name, flavor, p, var):
         spec = catalog(name, coefficient=100.0) if name == "case1" else catalog(name)
+        # the one norm brute force settles on its own unscaled ladder
+        _, frames = _sweep_frames(_without_closed_form(spec), flavor, p, var)
         res = prediction_loop(spec, flavor, p, var)
-        want = {"norm_u": normalization(spec, flavor, "u", p).factor}
-        if res.scheme == "M1":
-            want["norm_v"] = normalization(spec, flavor, "ux", p).factor
         assert res.scheme == default_scheme(flavor, var)
-        assert res.factors == want
+        assert {res.frame} == frames
 
     @pytest.mark.parametrize("flavor, p, var, key", [
         ("standard", 2, "u", "norm_u"),
@@ -365,15 +406,12 @@ class TestSingleLadder:
         spec = catalog("bench-diffusion")
         framed = prediction_loop(spec, flavor, p, var)
         plain = prediction_loop(spec, flavor, p, var, scheme="none")
-        assert plain.factors == {}
+        assert plain.frame == 1.0
         assert framed.N_c == plain.N_c
-        assert framed.E_c == plain.E_c / framed.factors[key]
-
-    def test_given_factors_skip_the_norm_ladder(self, solved_levels):
-        res = prediction_loop(catalog("bench-poisson"), "standard", 2, "u",
-                              factors={"norm_u": 0.5})
-        assert res.factors == {"norm_u": 0.5}
-        assert sorted(solved_levels) == list(range(6, res.refinements_used + 1))
+        assert framed.E_c == plain.E_c / framed.frame
+        # the frame is the norm of u, or of u_x for u_xx under M1
+        exact = l2_norm(lambda x: eval_exact(spec, _NORM_OF[key], x))
+        assert framed.frame == pytest.approx(exact, rel=1e-3)
 
     def test_scheme_checked_against_the_formulation(self):
         with pytest.raises(ValueError, match="scheme S applies to the standard"):
@@ -473,13 +511,21 @@ class TestBruteForceSweep:
         # before the floor the frame changes only the measuring stick: u is
         # divided by ||u||, the gradient variables by ||u_x||
         spec = catalog("bench-poisson")
-        factors = exact_norm_factors(spec, "M1")
+        norm = l2_norm(lambda x: eval_exact(spec, _NORM_OF[key], x))
         framed = brute_force_sweep(spec, "mixed", 3, var, scheme="M1", n_max=190)
         plain = brute_force_sweep(spec, "mixed", 3, var, scheme="none", n_max=190)
         assert [r.n_dof for r in framed] == [r.n_dof for r in plain]
         assert len(plain) == 7 and min(r.value for r in plain) > 1e-10  # all pre-floor
         np.testing.assert_allclose([r.value for r in framed],
-                                   [r.value / factors[key] for r in plain], rtol=1e-6)
+                                   [r.value / norm for r in plain], rtol=1e-6)
+
+    @pytest.mark.parametrize("var, scheme", [("uxx", "auto"), ("u", "M1")])
+    def test_m1_settles_one_norm_on_one_ladder(self, var, scheme):
+        # no closed form: the frame norm comes from unscaled solves, and M1
+        # divides u by ||u|| and u_xx by ||u_x|| alone
+        levels, frames = _sweep_frames(catalog("validation-helmholtz"), "mixed", 3, var, scheme)
+        assert levels and sorted(levels) == sorted(set(levels))
+        assert len(frames) == 1
 
     @pytest.mark.parametrize("estimator, solved", [("exact", [0]), ("refined", [0, 1])])
     def test_nan_load_raises_within_two_levels(self, monkeypatch, estimator, solved):
@@ -496,5 +542,5 @@ class TestBruteForceSweep:
         monkeypatch.setattr(prediction, "solve_level", counting_solve_level)
         # default n_max (1e8 DoF): only the non-finite stop ends this sweep early
         with pytest.raises(RuntimeError, match="error estimate is nan"):
-            brute_force_sweep(spec, "standard", 2, "u", factors={"norm_u": 1.0})
+            brute_force_sweep(spec, "standard", 2, "u", scheme="none")
         assert levels == solved

@@ -13,7 +13,7 @@ from fem_errbal.assembly import (
     assemble_standard,
 )
 from fem_errbal.mesh_basis import build_mesh
-from fem_errbal.prediction import frame_divisor, solve_level
+from fem_errbal.prediction import frame_variable, solve_level
 from fem_errbal.problem import catalog
 from fem_errbal.solvers import (
     BandedLU,
@@ -93,8 +93,8 @@ class TestBandedLU:
         # factor a copy of it: solve_level's LU and a second one leave it as
         # it was assembled
         assemble = assemble_standard if flavor == "standard" else assemble_mixed
-        frame = frame_divisor(scheme, "u", {"norm_u": 0.9})
-        scaled, _ = solve_level(catalog(name), flavor, 3, 4, frame)
+        assert frame_variable(flavor, scheme, "u") == "u"  # 0.9 stands for ||u||
+        scaled, _ = solve_level(catalog(name), flavor, 3, 4, 0.9)
         assembled = assemble(catalog(name), build_mesh(4), 3)
         assert scaled.matrix.ab.tobytes() == assembled.matrix.ab.tobytes()
         ab, rhs = scaled.matrix.ab.copy(), scaled.rhs.copy()
@@ -190,8 +190,7 @@ class TestSchur:
     def test_matches_monolithic_under_m1_scaling(self):
         # M1 frames u_xx by dividing the right-hand side by ||u_x||; the
         # blocks stay a pure saddle
-        frame = frame_divisor("M1", "uxx", {"norm_u": 0.9, "norm_v": 3.7})
-        system, direct = solve_level(catalog("bench-poisson"), "mixed", 3, 4, frame)
+        system, direct = solve_level(catalog("bench-poisson"), "mixed", 3, 4, 3.7)
         assert system.frame == 3.7 and system.blocks.pure_saddle
         seg = schur_solve(system, outer_tol=1e-13)
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
