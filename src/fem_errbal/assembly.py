@@ -21,9 +21,8 @@ The mixed unknowns are interleaved cell by cell so the monolithic matrix stays
 banded; the segregated solver's block (M, B, C, ...) view is sliced from that
 band on each access, so there is one copy of the system.
 
-Assembly never scales the matrix.  A system's `frame` is the one positive
-number its right-hand side was divided by, which divides every unknown by
-it; assembly returns frame 1, and the prediction module chooses the frame.
+Assembly never scales the matrix or the right-hand side; the frame that
+errors are measured in belongs to the prediction module.
 
 Cell blocks go into the band by strided slices: cell c's unknowns sit at a
 fixed stride times c plus a per-cell offset, so one slice-add per local pair
@@ -193,7 +192,6 @@ class LinearSystem:
     p: int
     mesh: Mesh
     complex_valued: bool
-    frame: float = 1.0  # the right-hand side, and so every unknown, is divided by it
 
     @property
     def n_unknowns(self) -> int:

@@ -25,10 +25,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .calibration import SUITE_STREAK, sensitivity_suite
-from .error_analysis import beta_R, beta_T, variable_available, write_curve_csv
+from .error_analysis import DEFAULT_ALPHA_R, beta_R, beta_T, variable_available, write_curve_csv
 from .mesh_basis import MAX_DEGREE
-from .prediction import (AlgorithmDefaults, PredictionResult, brute_force_sweep,
-                         prediction_loop, solve_level)
+from .prediction import N_MAX, PredictionResult, brute_force_sweep, prediction_loop, solve_level
 from .problem import CATALOG_NAMES, VARIABLES, catalog
 
 _FLAVORS = ("standard", "mixed")
@@ -186,10 +185,9 @@ def _sweep(spec, args: argparse.Namespace, p: int, var: str):
                              tol_prm=args.tol_prm)
 
 
-def _predict(spec, args: argparse.Namespace, p: int, var: str,
-             defaults: AlgorithmDefaults) -> PredictionResult:
-    return prediction_loop(spec, args.fem, p, var, tol_var=args.tol_var, defaults=defaults,
-                           scheme=args.scheme, solver=args.solver, tol_prm=args.tol_prm)
+def _predict(spec, args: argparse.Namespace, p: int, var: str) -> PredictionResult:
+    return prediction_loop(spec, args.fem, p, var, scheme=args.scheme, n_max=args.n_max,
+                           solver=args.solver, tol_prm=args.tol_prm)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -214,7 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _result_json(result: PredictionResult, defaults: AlgorithmDefaults) -> dict:
+def _result_json(result: PredictionResult, reachable: Optional[bool]) -> dict:
     model = result.model
     return {
         "problem": result.problem,
@@ -225,33 +223,30 @@ def _result_json(result: PredictionResult, defaults: AlgorithmDefaults) -> dict:
         "E_c": result.E_c,
         "alpha_T": None if model is None else model.alpha_T,
         "beta_T": float(beta_T(result.flavor, result.var, result.p)),
-        "alpha_R": defaults.alpha_R[result.var],
+        "alpha_R": DEFAULT_ALPHA_R[result.var],
         "beta_R": float(beta_R(result.flavor)),
         "N_opt_real": result.N_opt_real,
         "N_opt_mesh": result.N_opt_mesh,
         "E_min": result.E_min,
-        "reachable": result.reachable,
+        "reachable": reachable,
         "status": result.status,
         "refinements_used": result.refinements_used,
     }
 
 
-def _verdict(reachable: Optional[bool]) -> str:
-    return "-" if reachable is None else ("yes" if reachable else "no")
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = _lookup_problem(args)
-    defaults = AlgorithmDefaults(n_max=args.n_max)
-    results = [_predict(spec, args, p, var, defaults) for p, var in _combos(args)]
+    results = [_predict(spec, args, p, var) for p, var in _combos(args)]
+    verdicts = [None if args.tol is None else res.E_min <= args.tol for res in results]
     print(f"problem={spec.label} fem={args.fem}")
     print(f"{'p':>3} {'var':<4} {'status':<28} {'N_opt':>10} {'E_min':>13} {'reachable':>9}")
-    for res in results:
+    for res, reachable in zip(results, verdicts):
+        shown = "-" if reachable is None else ("yes" if reachable else "no")
         print(
             f"{res.p:>3} {res.var:<4} {res.status:<28} {res.N_opt_mesh:>10} "
-            f"{res.E_min:>13.3e} {_verdict(res.reachable):>9}"
+            f"{res.E_min:>13.3e} {shown:>9}"
         )
-    payload = [_result_json(res, defaults) for res in results]
+    payload = [_result_json(res, reachable) for res, reachable in zip(results, verdicts)]
     path = Path(args.json_path) if args.json_path else (
         _out_dir(args) / f"predict_{spec.label}_{args.fem}.json"
     )
@@ -281,7 +276,6 @@ def _timing(value: float, spec: str, unit: str) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     spec = _lookup_problem(args)
-    defaults = AlgorithmDefaults(n_max=args.n_max)
     rows, timing_lines = [], []
     print(f"problem={spec.label} fem={args.fem}")
     header = (
@@ -291,7 +285,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(header)
     for p, var in _combos(args):
         start = time.perf_counter()
-        result = _predict(spec, args, p, var, defaults)
+        result = _predict(spec, args, p, var)
         t_pred = time.perf_counter() - start
         t_plus = t_pred + _timed_optimal_solve(spec, args, result)
         start = time.perf_counter()
@@ -386,8 +380,6 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     streak = dict(type=_parse_streak, default=3)
     out_dir = dict(default=".", help="output directory (default .)")
     config = dict(help="flat key=value file; flags override")
-    tol = dict(dest="tol_var", type=partial(_parse_float, name="--tol"),
-               help="target accuracy for the reachable verdict")
 
     def add_common(sp):
         sp.add_argument("--problem", help="catalog problem name")
@@ -402,7 +394,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         sp.add_argument("--tol-prm", type=_parse_tolerance, default=1e-10,
                         help="iterative solver tolerance")
         sp.add_argument("--scheme", **scheme, help="scaling: auto | none | S | M1 | M2")
-        sp.add_argument("--n-max", type=_parse_cap, default=10**8, help="DoF cap")
+        sp.add_argument("--n-max", type=_parse_cap, default=N_MAX, help="DoF cap")
         sp.add_argument("--out-dir", **out_dir)
         sp.add_argument("--config", **config)
 
@@ -412,12 +404,12 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
 
     sp = sub.add_parser("predict", help="predict attainable accuracy from coarse refinements")
     add_common(sp)
-    sp.add_argument("--tol", **tol)
+    sp.add_argument("--tol", type=partial(_parse_float, name="--tol"),
+                    help="target accuracy for the reachable verdict")
     sp.add_argument("--json", dest="json_path", help="JSON output path")
 
     sp = sub.add_parser("validate", help="prediction versus brute force, with timings")
     add_common(sp)
-    sp.add_argument("--tol", **tol)
     sp.add_argument("--rise-streak", **streak, help="brute-force stop streak, or 'none'")
 
     sp = sub.add_parser("calibrate", help="round-off floor sensitivity suites")
@@ -437,6 +429,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     sp.add_argument("--config", **config)
 
     sub.add_parser("catalog", help="list the built-in problems")
+    for sp in sub.choices.values():
+        sp.allow_abbrev = False  # else validate --tol would silently mean --tol-prm
     return parser, sub.choices
 
 

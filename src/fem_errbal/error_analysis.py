@@ -6,10 +6,10 @@ against exact solutions or once-refined solves, and tracks error curves over
 refinement ladders and writes them as CSV.  For mixed systems the derivative
 fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  A system
 solved in a frame (its right-hand side divided by one positive number, see
-`LinearSystem.frame`) yields unknowns divided by that number; every view
-carries it as scale_factor, errors are measured in that frame (exact values
-divided by it) so the round-off floor offsets stay magnitude-independent, and
-multiplying a view's values by scale_factor gives the physical frame back.
+`prediction.solve_level`) yields unknowns divided by that number, and so do
+its views; `error_exact` measures such a view against the exact values
+divided by the same frame, which keeps the round-off floor offsets
+magnitude-independent.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .assembly import (
 )
 from .mesh_basis import LagrangeBasis, Mesh, basis_table, build_mesh, gauss_legendre_rule
 from .problem import VARIABLES, ProblemSpec, eval_exact
+from .solvers import SolveReport
 
 _DERIV_ORDER = {"u": 0, "ux": 1, "uxx": 2}
 
@@ -93,7 +94,6 @@ class FieldView:
     coeffs: np.ndarray  # (cells, local dofs)
     deriv_order: int
     fem_degree: int
-    scale_factor: float = 1.0
 
     @property
     def complex_valued(self) -> bool:
@@ -128,21 +128,19 @@ class FieldView:
         return (self.coeffs @ table.T) / self.mesh.h**self.deriv_order
 
 
-def reconstruct(solution, system: LinearSystem, var: str) -> FieldView:
+def reconstruct(report: SolveReport, system: LinearSystem, var: str) -> FieldView:
     """Build the evaluator for one variable from a solve of the given system."""
-    _check_tags(system.flavor, var)
     p = system.p
     if not variable_available(system.flavor, var, p):
         raise ValueError(
             f"uxx needs the per-cell polynomial degree >= 2; standard p={p} cannot host it"
         )
-    x = solution.x if hasattr(solution, "x") else np.asarray(solution)
     if system.flavor == "standard":
-        coeffs = extract_standard_coeffs(x, system)
+        coeffs = extract_standard_coeffs(report.x, system)
         basis = LagrangeBasis(p)
         order = _DERIV_ORDER[var]
     else:
-        v_coeffs, u_coeffs = extract_mixed_coeffs(x, system)
+        v_coeffs, u_coeffs = extract_mixed_coeffs(report.x, system)
         if var == "u":
             coeffs, basis, order = u_coeffs, LagrangeBasis(p - 1, continuous=False), 0
         elif var == "ux":
@@ -157,7 +155,6 @@ def reconstruct(solution, system: LinearSystem, var: str) -> FieldView:
         coeffs=coeffs,
         deriv_order=order,
         fem_degree=p,
-        scale_factor=system.frame,
     )
 
 
@@ -240,13 +237,13 @@ def l2_norm(field) -> float:
     return float(np.sqrt(h * np.sum(sq @ rule.weights)))
 
 
-def error_exact(field: FieldView, spec: ProblemSpec) -> ErrorRecord:
-    """E_h = ||var_h - var_exc|| by per-cell quadrature, in the field's frame."""
+def error_exact(field: FieldView, spec: ProblemSpec, frame: float = 1.0) -> ErrorRecord:
+    """E_h = ||var_h - var_exc / frame|| by per-cell quadrature, in the field's solve frame."""
     n_quad = field.fem_degree + 4
     rule = gauss_legendre_rule(n_quad)
     t, h = field.mesh.cell_count, field.mesh.h
     x_q = (np.arange(t)[:, None] + rule.points[None, :]) * h
-    exact = eval_exact(spec, field.var, x_q) / field.scale_factor
+    exact = eval_exact(spec, field.var, x_q) / frame
     diff = np.abs(field.eval_on_cells(n_quad) - exact) ** 2
     value = float(np.sqrt(h * np.sum(diff @ rule.weights)))
     return ErrorRecord(

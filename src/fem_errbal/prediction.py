@@ -14,21 +14,24 @@ measured convergence rate first reaches the theoretical order (relaxed by
 c_r); beta_T comes from the convergence table; alpha_R and beta_R come from
 the calibrated round-off model.
 
+The algorithm's parameters are fixed here (C_S, ref_min, c_r, DEFAULT_ALPHA_R);
+callers set only the DoF cap n_max (N_MAX when None) and test E_min <= target.
+
 Every scaling scheme only picks the frame the errors are measured in: the L2
 norm of one variable (`frame_variable`), ||u|| under S and M2, and under M1
 ||u|| for u and ||u_x|| for u_x and u_xx.  Each coarse
 level is solved once, unscaled.  The NORMALIZATION stage reads that one norm
-from the same solves, refining until it changes by less than c_s, and the
+from the same solves, refining until it changes by less than C_S, and the
 errors are divided by it, which keeps the alpha_R offsets
 magnitude-independent.  A brute-force sweep over the full ladder serves as
-the validation baseline; it divides each level's right-hand side by the
-frame, the closed-form norm or, without a closed form, the norm settled by
-the same c_s rule on its own unscaled ladder.
+the validation baseline; it divides each level's right-hand side and the
+exact values by the frame: the closed-form norm or, without a closed form,
+the norm settled by the same C_S rule on its own unscaled ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -53,25 +56,22 @@ from .problem import ProblemSpec, eval_exact
 from .solvers import SolveReport, solve_system
 
 
-@dataclass
-class AlgorithmDefaults:
-    """Paper-default knobs of the prediction algorithm."""
+C_S = 0.001  # relative change between adjacent levels at which a norm counts as settled
+N_MAX = 10**8  # DoF cap of both methods when the caller gives none
 
-    c_s: float = 0.001
-    n_max: int = 10**8
-    alpha_R: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ALPHA_R))
 
-    def ref_min(self, p: int) -> int:
-        """Minimal refinements before the normalization and prediction stages."""
-        return 9 - p if p < 6 else 4
+def ref_min(p: int) -> int:
+    """Minimal refinements before the normalization and prediction stages."""
+    return 9 - p if p < 6 else 4
 
-    def c_r(self, p: int) -> float:
-        """Relaxation on the theoretical rate when detecting the asymptote."""
-        if p < 4:
-            return 0.9
-        if p < 10:
-            return 0.7
-        return 0.5
+
+def c_r(p: int) -> float:
+    """Relaxation on the theoretical rate when detecting the asymptote."""
+    if p < 4:
+        return 0.9
+    if p < 10:
+        return 0.7
+    return 0.5
 
 
 @dataclass
@@ -153,25 +153,25 @@ def solve_level(
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     if frame != 1.0:
-        system = replace(system, rhs=system.rhs / frame, frame=frame)
+        system = replace(system, rhs=system.rhs / frame)
     return system, solve_system(system, solver, tol_prm=tol_prm)
 
 
 def _settled_norm(norm_at: Callable[[int], float], spec: ProblemSpec, flavor: str, var: str,
-                  p: int, defaults: AlgorithmDefaults) -> float:
-    """The c_s stop rule on norm_at(level), the L2 norm of var at that level.
+                  p: int, n_max: int) -> float:
+    """The C_S stop rule on norm_at(level), the L2 norm of var at that level.
 
-    Refines until the norm changes by less than c_s relative between adjacent
+    Refines until the norm changes by less than C_S relative between adjacent
     levels; comparisons start only after the minimal refinement count.  Raises
     NormalizationError at the DoF cap, or at once when the norm is NaN or inf.
     """
-    level = max(defaults.ref_min(p), 1)
+    level = max(ref_min(p), 1)
     prev = norm_at(level - 1)
     cur = norm_at(level)
-    while host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) < defaults.n_max:
+    while host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) < n_max:
         if not np.isfinite(cur):
             break  # a NaN or inf norm never stabilizes
-        if cur != 0.0 and abs((cur - prev) / cur) < defaults.c_s:
+        if cur != 0.0 and abs((cur - prev) / cur) < C_S:
             return cur
         level += 1
         prev, cur = cur, norm_at(level)
@@ -204,6 +204,15 @@ def frame_variable(flavor: str, scheme: str, var: str) -> Optional[str]:
     return "ux" if scheme == "M1" and var != "u" else "u"
 
 
+def _checked_frame(flavor: str, p: int, var: str, scheme: str) -> tuple[str, Optional[str]]:
+    """The scheme with 'auto' resolved and its `frame_variable`; raises before any solve."""
+    if not variable_available(flavor, var, p):
+        raise ValueError(f"{var} is not available for {flavor} degree {p}")
+    if scheme == "auto":
+        scheme = default_scheme(flavor, var)
+    return scheme, frame_variable(flavor, scheme, var)
+
+
 @dataclass
 class PredictionResult:
     """Outcome of the prediction stage for one (flavor, p, var) tuple.
@@ -229,7 +238,6 @@ class PredictionResult:
     N_opt_mesh_ref: Optional[int] = None
     N_opt_mesh: Optional[int] = None
     E_min: Optional[float] = None
-    reachable: Optional[bool] = None
 
 
 def _enclosing_mesh(flavor: str, var: str, p: int, complex_valued: bool, n_target: float):
@@ -246,9 +254,8 @@ def prediction_loop(
     flavor: str,
     p: int,
     var: str,
-    tol_var: Optional[float] = None,
-    defaults: Optional[AlgorithmDefaults] = None,
     scheme: str = "auto",
+    n_max: Optional[int] = None,
     solver: str = "lu",
     tol_prm: float = 1e-10,
 ) -> PredictionResult:
@@ -257,19 +264,16 @@ def prediction_loop(
     Walks the refinement ladder with unscaled solves, solving each level once,
     and estimates the error against the once-refined level.  The scheme fixes
     the frame: each estimate is divided by the norm of the `frame_variable`,
-    read from the same ladder by the c_s rule.  At each level the loop first
+    read from the same ladder by the C_S rule.  At each level the loop first
     checks that the estimate still sits above the modeled round-off band and
-    below the DoF cap, then accepts the first level whose observed rate
-    reaches beta_T c_r; the anchor fixes alpha_T and the closed form gives
-    N_opt and E_min.  Numerical outcomes never raise: the status field
-    reports them.  A norm that does not settle raises NormalizationError.
+    below the DoF cap n_max (N_MAX when None), then accepts the first level
+    whose observed rate reaches beta_T c_r; the anchor fixes alpha_T and the
+    closed form gives N_opt and E_min.  Numerical outcomes never raise: the
+    status field reports them.  A norm that does not settle raises
+    NormalizationError.
     """
-    defaults = defaults if defaults is not None else AlgorithmDefaults()
-    if not variable_available(flavor, var, p):
-        raise ValueError(f"{var} is not available for {flavor} degree {p}")
-    if scheme == "auto":
-        scheme = default_scheme(flavor, var)
-    frame_var = frame_variable(flavor, scheme, var)
+    scheme, frame_var = _checked_frame(flavor, p, var, scheme)
+    n_max = N_MAX if n_max is None else n_max
     names = {var, frame_var} - {None}
 
     fields: Dict[tuple[int, str], FieldView] = {}
@@ -282,7 +286,7 @@ def prediction_loop(
         return fields[(level, name)]
 
     frame = 1.0 if frame_var is None else _settled_norm(
-        lambda level: l2_norm(field_at(level, frame_var)), spec, flavor, frame_var, p, defaults)
+        lambda level: l2_norm(field_at(level, frame_var)), spec, flavor, frame_var, p, n_max)
     names = {var}  # the norm is settled; levels solved from here on need only var
 
     def estimate(level: int) -> float:
@@ -292,10 +296,10 @@ def prediction_loop(
 
     beta_t = float(beta_T(flavor, var, p))
     beta_r = float(beta_R(flavor))
-    alpha_r = defaults.alpha_R[var]
-    rate_floor = beta_t * defaults.c_r(p)
+    alpha_r = DEFAULT_ALPHA_R[var]
+    rate_floor = beta_t * c_r(p)
 
-    level = defaults.ref_min(p)
+    level = ref_min(p)
     best_value, best_level, best_n = np.inf, level, 0
     anchor = None
     while True:
@@ -309,7 +313,7 @@ def prediction_loop(
         if not e_h > alpha_r * n_h**beta_r:
             status = "round-off_before_asymptote"
             break
-        if not n_h < defaults.n_max:
+        if not n_h < n_max:
             status = "hit_N_max"
             break
         e_2h = estimate(level - 1)
@@ -349,8 +353,6 @@ def prediction_loop(
         # no model fit: report the best error actually observed and its mesh
         result.E_min = best_value
         result.N_opt_mesh_ref, result.N_opt_mesh = best_level, best_n
-    if tol_var is not None:
-        result.reachable = bool(result.E_min <= tol_var)
     return result
 
 
@@ -368,7 +370,7 @@ def brute_force_sweep(
     """Walk the ladder measuring the error at every level; the baseline method.
 
     Each level is solved in var's frame, the L2 norm of its `frame_variable`:
-    the closed-form norm, or without a closed form the norm settled by the c_s
+    the closed-form norm, or without a closed form the norm settled by the C_S
     rule on unscaled solves (at the default tol_prm).  Uses the
     exact-solution error when available, the once-refined estimate
     otherwise.  Stops at the DoF cap or, when rise_streak is set, after that
@@ -376,15 +378,10 @@ def brute_force_sweep(
     past the minimum.  rise_streak=None always walks to the cap, giving every
     curve the same window; floors are noisy enough that a dip can reset the
     streak, so cap-bound runs are the reproducible choice.  A NaN or inf error
-    value raises RuntimeError at once.  Without n_max the cap is
-    AlgorithmDefaults().n_max.
+    value raises RuntimeError at once.  Without n_max the cap is N_MAX.
     """
-    defaults = AlgorithmDefaults()
-    if not variable_available(flavor, var, p):
-        raise ValueError(f"{var} is not available for {flavor} degree {p}")
-    if scheme == "auto":
-        scheme = default_scheme(flavor, var)
-    frame_var = frame_variable(flavor, scheme, var)
+    _, frame_var = _checked_frame(flavor, p, var, scheme)
+    n_max = N_MAX if n_max is None else n_max
     if frame_var is None:
         frame = 1.0
     elif spec.has_exact:
@@ -394,8 +391,7 @@ def brute_force_sweep(
             system, report = solve_level(spec, flavor, p, level, solver=solver)
             return l2_norm(reconstruct(report, system, frame_var))
 
-        frame = _settled_norm(norm_at, spec, flavor, frame_var, p, defaults)
-    cap = n_max if n_max is not None else defaults.n_max
+        frame = _settled_norm(norm_at, spec, flavor, frame_var, p, N_MAX)
 
     curve = ErrorCurve()
     rises = 0
@@ -408,7 +404,7 @@ def brute_force_sweep(
         del system, report  # free this level's band before the next one is assembled
         record = None
         if use_exact:
-            record = error_exact(fld, spec)
+            record = error_exact(fld, spec, frame)
         elif prev_field is not None:
             record = error_refined(prev_field, fld)
         if record is not None:
@@ -423,9 +419,9 @@ def brute_force_sweep(
             curve.append(record)
             if rise_streak is not None and rises >= rise_streak:
                 break
-            if record.n_dof >= cap:
+            if record.n_dof >= n_max:
                 break
-        if host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) >= cap:
+        if host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) >= n_max:
             break
         prev_field = fld
         level += 1

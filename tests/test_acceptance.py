@@ -21,7 +21,6 @@ from fem_errbal.error_analysis import (
     variable_available,
 )
 from fem_errbal.prediction import (
-    AlgorithmDefaults,
     ErrorModel,
     brute_force_sweep,
     predict_opt,
@@ -173,7 +172,7 @@ def test_6_validation_problem_optima_and_reachability():
     for flavor in _FLAVORS:
         for p in range(1, 6):
             flags = [
-                prediction_loop(spec, flavor, p, v, tol_var=1e-9).reachable
+                prediction_loop(spec, flavor, p, v).E_min <= 1e-9
                 for v in _available(flavor, p)
             ]
             verdicts[(flavor, p)] = all(flags)
@@ -255,9 +254,9 @@ def _memory_safe_ref(flavor: str, p: int, complex_valued: bool) -> int:
     return int(np.log2(max(_COST_BUDGET // (factor * per_cell), 2)))
 
 
-def _timed_prediction_plus(spec, flavor, p, var, defaults, target_ref):
+def _timed_prediction_plus(spec, flavor, p, var, n_max, target_ref):
     start = time.perf_counter()
-    result = prediction_loop(spec, flavor, p, var, defaults=defaults)
+    result = prediction_loop(spec, flavor, p, var, n_max=n_max)
     solve_level(spec, flavor, p, target_ref, result.frame)
     return result, time.perf_counter() - start
 
@@ -267,17 +266,17 @@ def test_9_prediction_cheaper_than_brute_force():
     # memory-safe mesh on both sides, and the ladder walks to exactly that
     # depth so brute force is never overstated
     spec = catalog("validation-helmholtz")
-    defaults = AlgorithmDefaults(n_max=1_000_000)
+    n_max = 1_000_000
     violations = []
     for flavor in _FLAVORS:
         for p in (2, 3, 4, 5):
             for var in _available(flavor, p):
-                res = prediction_loop(spec, flavor, p, var, defaults=defaults)
+                res = prediction_loop(spec, flavor, p, var, n_max=n_max)
                 target = min(res.N_opt_mesh_ref, _memory_safe_ref(flavor, p, spec.complex_valued))
                 cap = host_dof_count(flavor, var, p, 1 << target, spec.complex_valued)
 
                 def t_plus():
-                    return _timed_prediction_plus(spec, flavor, p, var, defaults, target)[1]
+                    return _timed_prediction_plus(spec, flavor, p, var, n_max, target)[1]
 
                 def t_bf():
                     start = time.perf_counter()

@@ -178,6 +178,22 @@ class TestPredict:
         assert json.loads((tmp_path / "out.json").read_text())[0]["reachable"] is True
         assert main(argv + ["1e-14"]) == 0
         assert json.loads((tmp_path / "out.json").read_text())[0]["reachable"] is False
+        # the config key is the flag name
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-6\n")
+        assert main(argv[:-1] + ["--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out.json").read_text())[0]["reachable"] is True
+
+    def test_reachable_flag_without_model(self, tmp_path, capsys):
+        # no model fit: the verdict compares the best observed error with --tol
+        code = main(["predict", "--problem", "case5", "--coefficient", "1", "--p", "1",
+                     "--var", "u", "--tol", "1e-9", "--json", str(tmp_path / "out.json")])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[2].split()
+        assert row[2] == "round-off_before_asymptote" and row[-1] == "yes"
+        entry = json.loads((tmp_path / "out.json").read_text())[0]
+        assert entry["status"] == "round-off_before_asymptote"
+        assert entry["reachable"] is True
 
     def test_product_expansion_skips_unavailable(self, tmp_path, capsys):
         code = main(
@@ -344,6 +360,20 @@ class TestConfigFileMerge:
             cfg.write_text(f"problem=bench-poisson\n{key}=exotic\n")
             assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
             assert f"unknown config key(s): {key}" in capsys.readouterr().err
+
+    def test_validate_takes_no_tolerance(self, tmp_path, capsys):
+        # validate prints no verdict, so it has no --tol to set, and the flag
+        # is not taken as an abbreviation of --tol-prm
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--problem", "bench-poisson", "--tol", "1e-9",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        for key in ("tol_var", "tol"):
+            cfg.write_text(f"problem=bench-poisson\n{key}=1e-9\n")
+            assert main(["validate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: unknown config key(s): {key}\n"
 
     def test_bad_file_value_is_checked_unless_a_flag_wins(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -11,26 +11,26 @@ import numpy as np
 import pytest
 
 from fem_errbal import prediction
-from fem_errbal.assembly import assemble_mixed
-from fem_errbal.error_analysis import host_dof_count, l2_norm
+from fem_errbal.assembly import assemble_mixed, assemble_standard
+from fem_errbal.error_analysis import DEFAULT_ALPHA_R, host_dof_count, l2_norm
 from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.prediction import (
-    AlgorithmDefaults,
+    C_S,
+    N_MAX,
     ErrorModel,
     NormalizationError,
     brute_force_sweep,
+    c_r,
     default_scheme,
     fit_alpha_T,
     frame_variable,
     predict_opt,
     prediction_loop,
+    ref_min,
     solve_level,
 )
 from fem_errbal.problem import catalog, eval_exact
 from fem_errbal.solvers import lu_banded_solve
-
-# the variable each norm is taken of; the gradient unknown satisfies v = -u_x
-_NORM_OF = {"norm_u": "u", "norm_v": "ux"}
 
 
 def _nan_load():
@@ -47,10 +47,9 @@ def _recorded_solves(run, *args, **kwargs):
     """run's result, and the (level, frame) of every level it solves, in order."""
     solves = []
 
-    def recording_solve_level(*level_args, **level_kwargs):
-        system, report = solve_level(*level_args, **level_kwargs)
-        solves.append((system.mesh.refinement_level, system.frame))
-        return system, report
+    def recording_solve_level(spec, flavor, p, level, frame=1.0, *rest, **level_kwargs):
+        solves.append((level, frame))
+        return solve_level(spec, flavor, p, level, frame, *rest, **level_kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prediction, "solve_level", recording_solve_level)
@@ -66,11 +65,9 @@ def _sweep_frames(spec, flavor, p, var, scheme="auto"):
             {frame for _, frame in solves if frame != 1.0})
 
 
-class StubbornDefaults(AlgorithmDefaults):
+def _stubborn_rate_gate(monkeypatch):
     """Rate gate that can never pass; forces the loop to walk to a stop check."""
-
-    def c_r(self, p):
-        return 5.0
+    monkeypatch.setattr(prediction, "c_r", lambda p: 5.0)
 
 
 class TestErrorModel:
@@ -182,25 +179,17 @@ class TestPredictOpt:
 
 class TestAlgorithmDefaults:
     def test_ref_min_table(self):
-        d = AlgorithmDefaults()
         for p, want in [(1, 8), (2, 7), (3, 6), (4, 5), (5, 4), (6, 4), (8, 4), (12, 4)]:
-            assert d.ref_min(p) == want
+            assert ref_min(p) == want
 
     def test_rate_relaxation_table(self):
-        d = AlgorithmDefaults()
         for p, want in [(1, 0.9), (3, 0.9), (4, 0.7), (9, 0.7), (10, 0.5), (15, 0.5)]:
-            assert d.c_r(p) == want
+            assert c_r(p) == want
 
     def test_scalar_defaults(self):
-        d = AlgorithmDefaults()
-        assert d.c_s == 0.001
-        assert d.n_max == 10**8
-        assert d.alpha_R == {"u": 2e-17, "ux": 5e-17, "uxx": 1e-15}
-
-    def test_alpha_r_is_per_instance(self):
-        d1 = AlgorithmDefaults()
-        d1.alpha_R["u"] = 1.0
-        assert AlgorithmDefaults().alpha_R["u"] == 2e-17
+        assert C_S == 0.001
+        assert N_MAX == 10**8
+        assert DEFAULT_ALPHA_R == {"u": 2e-17, "ux": 5e-17, "uxx": 1e-15}
 
 
 class TestNormalization:
@@ -239,10 +228,7 @@ class TestNormalization:
 
     def test_cap_raises_with_state(self):
         with pytest.raises(NormalizationError, match="did not stabilize before the DoF cap") as err:
-            prediction_loop(
-                catalog("bench-poisson"), "standard", 1, "u",
-                defaults=AlgorithmDefaults(n_max=200),
-            )
+            prediction_loop(catalog("bench-poisson"), "standard", 1, "u", n_max=200)
         assert err.value.refinement_level == 8
         assert err.value.last_norm > 0
 
@@ -309,20 +295,10 @@ class TestPredictionLoop:
         assert 0 < res.E_min <= 1e-11
         assert res.N_opt_mesh_ref == 8
         assert res.refinements_used == 9
-        assert res.reachable is None
 
-    def test_reachable_flag_without_model(self):
-        res = prediction_loop(
-            catalog("case5", coefficient=1.0), "standard", 1, "u", tol_var=1e-9
-        )
-        assert res.status == "round-off_before_asymptote"
-        assert res.reachable is True
-
-    def test_dof_cap_status(self):
-        res = prediction_loop(
-            catalog("bench-poisson"), "standard", 1, "ux",
-            defaults=StubbornDefaults(n_max=5000),
-        )
+    def test_dof_cap_status(self, monkeypatch):
+        _stubborn_rate_gate(monkeypatch)
+        res = prediction_loop(catalog("bench-poisson"), "standard", 1, "ux", n_max=5000)
         assert res.status == "hit_N_max"
         assert res.model is None
         assert res.E_min > 0
@@ -342,7 +318,6 @@ class TestPredictionLoop:
         assert res.N_opt_mesh == host_dof_count(
             "mixed", "u", 3, 1 << res.N_opt_mesh_ref, False
         )
-        assert res.reachable is None
 
     def test_unavailable_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -397,12 +372,12 @@ class TestSingleLadder:
         assert res.scheme == default_scheme(flavor, var)
         assert {res.frame} == frames
 
-    @pytest.mark.parametrize("flavor, p, var, key", [
-        ("standard", 2, "u", "norm_u"),
-        ("mixed", 3, "u", "norm_u"),
-        ("mixed", 3, "uxx", "norm_v"),
+    @pytest.mark.parametrize("flavor, p, var, frame_var", [
+        ("standard", 2, "u", "u"),
+        ("mixed", 3, "u", "u"),
+        ("mixed", 3, "uxx", "ux"),
     ])
-    def test_estimates_are_the_unscaled_ones_divided(self, flavor, p, var, key):
+    def test_estimates_are_the_unscaled_ones_divided(self, flavor, p, var, frame_var):
         spec = catalog("bench-diffusion")
         framed = prediction_loop(spec, flavor, p, var)
         plain = prediction_loop(spec, flavor, p, var, scheme="none")
@@ -410,7 +385,7 @@ class TestSingleLadder:
         assert framed.N_c == plain.N_c
         assert framed.E_c == plain.E_c / framed.frame
         # the frame is the norm of u, or of u_x for u_xx under M1
-        exact = l2_norm(lambda x: eval_exact(spec, _NORM_OF[key], x))
+        exact = l2_norm(lambda x: eval_exact(spec, frame_var, x))
         assert framed.frame == pytest.approx(exact, rel=1e-3)
 
     def test_scheme_checked_against_the_formulation(self):
@@ -422,14 +397,16 @@ class TestSolveLevel:
     def test_matches_the_pipeline_spelled_out(self):
         spec = catalog("bench-poisson")
         system, report = solve_level(spec, "mixed", 3, 4, 3.7)
-        assert system.frame == 3.7 and system.mesh.refinement_level == 4
+        assert system.mesh.refinement_level == 4
         manual = assemble_mixed(spec, build_mesh(4), 3)
-        manual = dataclasses.replace(manual, rhs=manual.rhs / 3.7, frame=3.7)
+        manual = dataclasses.replace(manual, rhs=manual.rhs / 3.7)
+        np.testing.assert_array_equal(system.rhs, manual.rhs)
         np.testing.assert_array_equal(report.x, lu_banded_solve(manual).x)
 
     def test_unscaled_by_default(self):
-        system, report = solve_level(catalog("bench-poisson"), "standard", 2, 3)
-        assert system.frame == 1.0
+        spec = catalog("bench-poisson")
+        system, report = solve_level(spec, "standard", 2, 3)
+        np.testing.assert_array_equal(system.rhs, assemble_standard(spec, build_mesh(3), 2).rhs)
         assert report.method == "lu" and report.x.shape == (system.n_unknowns,)
 
     @pytest.mark.parametrize("frame", [0.0, -0.5, np.nan])
@@ -506,12 +483,12 @@ class TestBruteForceSweep:
         with pytest.raises(ValueError):
             brute_force_sweep(catalog("bench-poisson"), "standard", 1, "uxx")
 
-    @pytest.mark.parametrize("var, key", [("u", "norm_u"), ("ux", "norm_v")])
-    def test_m1_errors_are_the_unscaled_ones_divided_by_their_norm(self, var, key):
+    @pytest.mark.parametrize("var, frame_var", [("u", "u"), ("ux", "ux")])
+    def test_m1_errors_are_the_unscaled_ones_divided_by_their_norm(self, var, frame_var):
         # before the floor the frame changes only the measuring stick: u is
         # divided by ||u||, the gradient variables by ||u_x||
         spec = catalog("bench-poisson")
-        norm = l2_norm(lambda x: eval_exact(spec, _NORM_OF[key], x))
+        norm = l2_norm(lambda x: eval_exact(spec, frame_var, x))
         framed = brute_force_sweep(spec, "mixed", 3, var, scheme="M1", n_max=190)
         plain = brute_force_sweep(spec, "mixed", 3, var, scheme="none", n_max=190)
         assert [r.n_dof for r in framed] == [r.n_dof for r in plain]
@@ -544,3 +521,27 @@ class TestBruteForceSweep:
         with pytest.raises(RuntimeError, match="error estimate is nan"):
             brute_force_sweep(spec, "standard", 2, "u", scheme="none")
         assert levels == solved
+
+
+class TestDefaultCap:
+    """n_max=None means N_MAX in both entry points, read when the call runs."""
+
+    def test_brute_force_without_a_cap(self, monkeypatch):
+        spec = catalog("case5", coefficient=1.0)
+        # the consecutive-rise stop ends this noise-floor curve far below N_MAX
+        free = brute_force_sweep(spec, "standard", 1, "u", n_max=None, rise_streak=3)
+        capped = brute_force_sweep(spec, "standard", 1, "u", n_max=10000, rise_streak=3)
+        assert [(r.n_dof, r.value) for r in free] == [(r.n_dof, r.value) for r in capped]
+        monkeypatch.setattr(prediction, "N_MAX", 600)
+        curve = brute_force_sweep(catalog("bench-poisson"), "standard", 2, "u", n_max=None,
+                                  rise_streak=3)
+        assert curve[-1].n_dof == 1025  # the first level at or above the cap
+
+    def test_prediction_without_a_cap(self, monkeypatch):
+        spec = catalog("bench-poisson")
+        assert (prediction_loop(spec, "standard", 2, "u", n_max=None)
+                == prediction_loop(spec, "standard", 2, "u"))
+        _stubborn_rate_gate(monkeypatch)
+        monkeypatch.setattr(prediction, "N_MAX", 5000)
+        res = prediction_loop(spec, "standard", 1, "ux", n_max=None)
+        assert res.status == "hit_N_max" and res.N_opt_mesh == 8193
