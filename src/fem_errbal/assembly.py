@@ -1,12 +1,14 @@
 """Discrete linear systems for the standard and mixed formulations.
 
 Matrices live in LAPACK-compatible band storage, and this module alone
-indexes it: the solvers go through `BandedMatrix.matvec`, `constrained_rows`
-and `LinearSystem.blocks`, and the banded LU hands the array to LAPACK as it
-is.  Complex-coefficient problems are assembled in complex arithmetic,
-boundary conditions are imposed, and the system is then split into a real
-system of twice the size with interleaved (Re, Im) unknowns: each entry a+bi
-becomes the 2x2 block [[a, -b], [b, a]].
+indexes it: the solvers go through `BandedMatrix.matvec`,
+`BandedMatrix.diagonal` and `LinearSystem.blocks`, and the banded LU hands
+the array to LAPACK as it is.  Each system records the rows that strong
+boundary elimination made identities (`LinearSystem.constrained`), so no
+solver has to find them in the band.  Complex-coefficient problems are
+assembled in complex arithmetic, boundary conditions are imposed, and the
+system is then split into a real system of twice the size with interleaved
+(Re, Im) unknowns: each entry a+bi becomes the 2x2 block [[a, -b], [b, a]].
 
 Weak statements, with n the outward normal and (.,.) the L2 pairing:
 
@@ -64,6 +66,10 @@ class BandedMatrix:
     def dtype(self):
         return self.ab.dtype
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.ab[self.kl + self.ku]
+
     def add_at(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add; duplicate (row, col) pairs accumulate."""
         np.add.at(self.ab, (self.kl + self.ku + rows - cols, cols), values)
@@ -93,25 +99,6 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
     mat.ab[r0 + index - cols, cols] = 0.0
     mat.ab[r0, index] = 1.0
     rhs[index] = value
-
-
-def constrained_rows(mat: BandedMatrix) -> np.ndarray:
-    """Rows turned into identities by strong boundary elimination.
-
-    Such a row has a unit diagonal and no other entry in its row or column.
-    The summed terms are absolute values, so the zero test does not depend
-    on the order of summation.
-    """
-    r0 = mat.kl + mat.ku
-    diag_one = mat.ab[r0] == 1.0
-    if not np.any(diag_one):
-        return diag_one
-    off = np.abs(mat.ab)
-    off[r0] = 0.0
-    rows = np.arange(mat.n) + (np.arange(off.shape[0]) - r0)[:, None]  # row of each entry
-    inside = (rows >= 0) & (rows < mat.n)
-    row_sums = np.bincount(rows[inside], weights=off[inside], minlength=mat.n)
-    return diag_one & (row_sums + off.sum(axis=0) == 0.0)
 
 
 def split_complex(mat: BandedMatrix, rhs: np.ndarray) -> tuple[BandedMatrix, np.ndarray]:
@@ -182,12 +169,15 @@ class SaddleBlocks:
     G: np.ndarray
     H: np.ndarray
     pure_saddle: bool
+    pos_v: np.ndarray  # monolithic position of each V and each U unknown
+    pos_u: np.ndarray
 
 
 @dataclass
 class LinearSystem:
     matrix: BandedMatrix
     rhs: np.ndarray
+    constrained: np.ndarray  # rows that strong elimination made identities
     flavor: str  # 'standard' | 'mixed'
     p: int
     mesh: Mesh
@@ -226,7 +216,7 @@ class LinearSystem:
             abs(c_block - b_block.T).max() <= 1e-13 * (abs(b_block).max() + 1e-300)
         )
         return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
-                            H=self.rhs[pos_u], pure_saddle=pure_saddle)
+                            H=self.rhs[pos_u], pure_saddle=pure_saddle, pos_v=pos_v, pos_u=pos_u)
 
 
 def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple, b: tuple) -> np.ndarray:
@@ -243,6 +233,19 @@ def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple
     ta = basis_table(a[0], a[1], n_quad, a[2])
     tb = basis_table(b[0], b[1], n_quad, b[2])
     return np.einsum("cq,qi,qj->cij", weights[None, :] * coef, ta, tb)
+
+
+def _system(mat: BandedMatrix, rhs: np.ndarray, constrained: list, flavor: str, p: int,
+            mesh: Mesh) -> LinearSystem:
+    """The assembled system, complex ones split into their real image, where
+    constrained row i becomes rows 2i and 2i+1."""
+    rows = np.array(constrained, dtype=np.int64)
+    complex_valued = np.iscomplexobj(mat.ab)
+    if complex_valued:
+        mat, rhs = split_complex(mat, rhs)
+        rows = np.stack((2 * rows, 2 * rows + 1), axis=1).ravel()
+    return LinearSystem(matrix=mat, rhs=rhs, constrained=rows, flavor=flavor, p=p, mesh=mesh,
+                        complex_valued=complex_valued)
 
 
 # --- standard formulation ------------------------------------------------------
@@ -278,21 +281,13 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
         if bc.kind == "neumann":
             d_here = np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0]
             rhs[bdof] -= d_here * bc.value * bc.normal
+    constrained = []
     for bc, bdof in ends:
         if bc.kind == "dirichlet":
             eliminate_dirichlet(mat, rhs, bdof, bc.value)
+            constrained.append(bdof)
 
-    if spec.complex_valued:
-        mat, rhs = split_complex(mat, rhs)
-
-    return LinearSystem(
-        matrix=mat,
-        rhs=rhs,
-        flavor="standard",
-        p=p,
-        mesh=mesh,
-        complex_valued=spec.complex_valued,
-    )
+    return _system(mat, rhs, constrained, "standard", p, mesh)
 
 
 # --- mixed formulation ---------------------------------------------------------
@@ -336,24 +331,16 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
 
     # Dirichlet data is natural here: G_k = -(w_k, g n) on the Dirichlet ends;
     # Neumann data is essential on the v space: v = -h on that end
+    constrained = []
     for bc in (spec.bc_left, spec.bc_right):
         v_pos = 0 if bc.side == "left" else total - 1
         if bc.kind == "dirichlet":
             rhs[v_pos] += -bc.value * bc.normal
         else:
             eliminate_dirichlet(mat, rhs, v_pos, -bc.value)
+            constrained.append(v_pos)
 
-    if spec.complex_valued:
-        mat, rhs = split_complex(mat, rhs)
-
-    return LinearSystem(
-        matrix=mat,
-        rhs=rhs,
-        flavor="mixed",
-        p=p,
-        mesh=mesh,
-        complex_valued=spec.complex_valued,
-    )
+    return _system(mat, rhs, constrained, "mixed", p, mesh)
 
 
 # --- coefficient extraction ----------------------------------------------------

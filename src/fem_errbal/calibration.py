@@ -206,11 +206,12 @@ def _solver_configs(tolerances: Sequence[float], variables: Sequence[str]) -> Li
     ]
 
 
-def _lu_configs(kind: str, case: int, flavor: str, scheme: Optional[str],
+def _lu_configs(kind: str, case: int, flavor: str, scheme: str,
                 variables: Sequence[str]) -> List[tuple]:
     """One LU configuration per (spec, token, label) case and variable.
 
-    '{scheme}' in a token or label stands for the variable's scaling scheme.
+    '{scheme}' in a token or label stands for the variable's scaling scheme,
+    which 'auto' resolves by `default_scheme`.
     """
     if kind == "magnitude":
         if case not in _COEFF_GRID:
@@ -229,7 +230,7 @@ def _lu_configs(kind: str, case: int, flavor: str, scheme: Optional[str],
     configs = []
     for spec, token, label in cases:
         for var in variables:
-            var_scheme = scheme if scheme is not None else default_scheme(flavor, var)
+            var_scheme = default_scheme(flavor, var) if scheme == "auto" else scheme
             configs.append((spec, token.format(scheme=var_scheme), label.format(scheme=var_scheme),
                             flavor, _MAGNITUDE_P[flavor], var, var_scheme, "lu", 1e-10))
     return configs
@@ -240,7 +241,7 @@ def sensitivity_suite(
     out_dir: Optional[str] = None,
     case: int = 1,
     flavor: str = "standard",
-    scheme: Optional[str] = None,
+    scheme: str = "auto",
     variables: Optional[Sequence[str]] = None,
     tolerances: Sequence[float] = (1e-10, 1e-4),
     n_max: Optional[int] = None,

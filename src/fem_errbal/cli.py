@@ -326,7 +326,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         out_dir=str(_out_dir(args)),
         case=args.case,
         flavor=args.fem,
-        scheme=None if args.scheme == "auto" else args.scheme,
+        scheme=args.scheme,
         variables=args.variables,
         tolerances=args.tolerances,
         n_max=args.n_max,

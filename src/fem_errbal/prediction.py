@@ -419,8 +419,6 @@ def brute_force_sweep(
             curve.append(record)
             if rise_streak is not None and rises >= rise_streak:
                 break
-            if record.n_dof >= n_max:
-                break
         if host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) >= n_max:
             break
         prev_field = fld

@@ -4,12 +4,13 @@ The direct path is a banded LU with partial pivoting (LAPACK gbtrf/gbtrs) on
 the band layout produced by assembly; upper bandwidth grows by the lower
 bandwidth during pivoting and no iterative refinement is applied.  The
 iterative path is plain conjugate gradients with the stopping rule
-||F - A x||_2 <= tol_prm ||F||_2; since the standard-formulation operator is
-negative definite by construction, a probe of random Rayleigh quotients
-decides whether the system is negated before iterating.  Mixed saddle systems
-can alternatively be solved segregated: an outer CG on the Schur complement
-C M^{-1} B (C = B^T up to a positive factor) with a three-step matvec, then a
-mass solve recovers v.
+||F - A x||_2 <= tol_prm ||F||_2.  It takes the identity rows of strongly
+imposed boundary values from assembly (`LinearSystem.constrained`), and the
+sign of the operator from the diagonal of the remaining rows: the standard
+operator is negative definite by construction, so the system is negated
+before iterating.  Mixed saddle systems can alternatively be solved
+segregated: an outer CG on the Schur complement C M^{-1} B (C = B^T up to a
+positive factor) with a three-step matvec, then a mass solve recovers v.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .assembly import (
-    BandedMatrix,
-    LinearSystem,
-    constrained_rows,
-    mixed_u_positions,
-    mixed_v_positions,
-)
-
-_PROBE_COUNT = 20
-_PROBE_SEED = 2024
+from .assembly import BandedMatrix, LinearSystem
 
 
 class SingularMatrixError(RuntimeError):
@@ -97,23 +89,6 @@ def lu_banded_solve(system: LinearSystem) -> SolveReport:
     return SolveReport(x=x, method="lu", iterations=0, rel_residual=float(res), wall_time=elapsed)
 
 
-def _definiteness_sign(mat: BandedMatrix, active: np.ndarray) -> float:
-    if not np.any(active):
-        return 1.0  # no free unknowns: nothing to probe, and CG has nothing to do
-    rng = np.random.default_rng(_PROBE_SEED)
-    signs = []
-    for _ in range(_PROBE_COUNT):
-        v = rng.standard_normal(mat.n)
-        v[~active] = 0.0
-        q = np.dot(v, mat.matvec(v)) / np.dot(v, v)
-        signs.append(np.sign(q))
-    if all(s < 0 for s in signs):
-        return -1.0
-    if all(s > 0 for s in signs):
-        return 1.0
-    raise ValueError("definiteness probe found mixed signs; CG needs a definite operator")
-
-
 def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | None = None,
              stage: str = "cg"):
     x = np.zeros_like(b) if x0 is None else x0.copy()
@@ -144,18 +119,26 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
     raise NonConvergenceError(stage, max_iter, float(np.sqrt(rs) / b_norm), x)
 
 
-def cg_solve(system: LinearSystem, tol_prm: float, max_iter: int | None = None) -> SolveReport:
-    """Conjugate gradients on a definite (possibly negated) standard system.
+def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
+    """Conjugate gradients on a definite (possibly negated) system.
 
-    Strongly imposed boundary rows are identities; seeding the iterate with
-    their values keeps the Krylov space inside the active subspace, so the
-    definiteness of the interior block is what the probe sees.
+    The rows assembly constrained are identities; seeding the iterate with
+    their values keeps the Krylov space inside the free rows.  The diagonal
+    entries of a definite operator are its Rayleigh quotients on the unit
+    vectors, so the free rows' diagonal gives its sign; mixed signs, such as
+    a saddle's zero u-diagonal, are rejected.  An indefinite operator whose
+    diagonal has one sign is not caught here: CG raises NonConvergenceError
+    when it breaks down on it.
     """
     start = time.perf_counter()
-    mat, rhs = system.matrix, system.rhs
-    constrained = constrained_rows(mat)
-    active = ~constrained
-    sign = _definiteness_sign(mat, active)
+    mat, rhs, constrained = system.matrix, system.rhs, system.constrained
+    diagonal = np.delete(mat.diagonal, constrained)
+    if np.all(diagonal > 0):
+        sign = 1.0  # also with no free unknowns, where CG has nothing to do
+    elif np.all(diagonal < 0):
+        sign = -1.0
+    else:
+        raise ValueError("diagonal of the free rows has mixed signs; CG needs a definite operator")
     x0 = np.zeros(mat.n)
     x0[constrained] = rhs[constrained]
 
@@ -164,8 +147,7 @@ def cg_solve(system: LinearSystem, tol_prm: float, max_iter: int | None = None) 
         y *= sign
         return y
 
-    max_iter = max_iter if max_iter is not None else 10 * mat.n
-    x, iters, _ = _cg_core(matvec, sign * rhs, tol_prm, max_iter, x0=x0)
+    x, iters, _ = _cg_core(matvec, sign * rhs, tol_prm, 10 * mat.n, x0=x0)
     elapsed = time.perf_counter() - start
     rhs_norm = np.linalg.norm(rhs)
     res = np.linalg.norm(rhs - mat.matvec(x)) / rhs_norm if rhs_norm else 0.0
@@ -200,10 +182,9 @@ def schur_solve(system: LinearSystem, outer_tol: float = 1e-10) -> SolveReport:
     u, iters, res = _cg_core(s_matvec, rhs_outer, outer_tol, 10 * len(rhs_outer), stage="outer-cg")
     v = m_solve(blocks.G - b_mat @ u)
 
-    p, t = system.p, system.mesh.cell_count
     x = np.empty(system.n_unknowns)
-    x[mixed_v_positions(p, t)] = v
-    x[mixed_u_positions(p, t).ravel()] = u  # block u ordering is cell-major already
+    x[blocks.pos_v] = v
+    x[blocks.pos_u] = u
     elapsed = time.perf_counter() - start
     return SolveReport(
         x=x, method="schur[direct]", iterations=iters, rel_residual=float(res), wall_time=elapsed

@@ -1,4 +1,5 @@
-"""Dense views of band storage and a reference assembly, for checks on small systems.
+"""Dense views of band storage, a scan for identity rows and a reference
+assembly, for checks on small systems.
 
 Built on `BandedMatrix.ab`, `BandedMatrix.add_at` and the factors a `BandedLU`
 keeps, so the package itself needs no dense or inspection API.
@@ -38,6 +39,19 @@ def from_dense(a: np.ndarray, kl: int, ku: int) -> BandedMatrix:
     rows, cols = np.nonzero(a)
     mat.add_at(rows, cols, a[rows, cols])
     return mat
+
+
+def identity_rows(mat: BandedMatrix) -> np.ndarray:
+    """Mask of the rows that are identities: a unit diagonal and no other
+    entry in the row or the column.  The summed terms are absolute values,
+    so the zero test does not depend on the order of summation."""
+    r0 = mat.kl + mat.ku
+    off = np.abs(mat.ab)
+    off[r0] = 0.0
+    rows = np.arange(mat.n) + (np.arange(off.shape[0]) - r0)[:, None]  # row of each entry
+    inside = (rows >= 0) & (rows < mat.n)
+    row_sums = np.bincount(rows[inside], weights=off[inside], minlength=mat.n)
+    return (mat.ab[r0] == 1.0) & (row_sums + off.sum(axis=0) == 0.0)
 
 
 def reconstruct(factor) -> np.ndarray:

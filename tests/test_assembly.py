@@ -8,7 +8,6 @@ from fem_errbal.assembly import (
     BandedMatrix,
     assemble_mixed,
     assemble_standard,
-    constrained_rows,
     eliminate_dirichlet,
     extract_mixed_coeffs,
     extract_standard_coeffs,
@@ -22,7 +21,7 @@ from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
 from fem_errbal.prediction import brute_force_sweep, prediction_loop, solve_level
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
 
-from banded import add_at_assembly, from_dense, to_dense
+from banded import add_at_assembly, from_dense, identity_rows, to_dense
 
 
 def _zero(x):
@@ -77,7 +76,7 @@ class TestBandedMatrix:
         m = from_dense(2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1), 1, 1)
         rhs = np.ones(4)
         eliminate_dirichlet(m, rhs, 0, 5.0)
-        np.testing.assert_array_equal(constrained_rows(m), [True, False, False, False])
+        np.testing.assert_array_equal(identity_rows(m), [True, False, False, False])
         a = to_dense(m)
         np.testing.assert_allclose(a, a.T)
         assert a[0, 0] == 1.0 and rhs[0] == 5.0
@@ -87,7 +86,7 @@ class TestBandedMatrix:
         a = np.diag([1.0, 1.0, 1.0, 2.0])
         a[1, 3] = 0.5  # row 1 has an off-diagonal entry, column 1 none
         a[3, 2] = 0.5  # column 2 has one, row 2 none
-        np.testing.assert_array_equal(constrained_rows(from_dense(a, 1, 2)),
+        np.testing.assert_array_equal(identity_rows(from_dense(a, 1, 2)),
                                       [True, False, False, False])
 
 
@@ -266,6 +265,21 @@ def test_assembly_matches_add_at_scatter_bit_for_bit(problem, form):
             ab, rhs = add_at_assembly(spec, mesh, p, flavor)
             _assert_same_bits(system.matrix.ab, ab)
             _assert_same_bits(system.rhs, rhs)
+
+
+@pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))
+@pytest.mark.parametrize("flavor", ["standard", "mixed"])
+def test_recorded_constrained_rows_are_the_identity_rows(problem, flavor):
+    # the rows assembly records are the ones a scan of the band finds, for
+    # Dirichlet and Neumann ends, split complex systems and one-cell meshes
+    spec = _SCATTER_PROBLEMS[problem]()
+    assemble = assemble_standard if flavor == "standard" else assemble_mixed
+    for p in range(1, 5):
+        for level in (0, 3):
+            system = assemble(spec, build_mesh(level), p)
+            assert system.constrained.dtype == np.int64
+            np.testing.assert_array_equal(system.constrained,
+                                          np.flatnonzero(identity_rows(system.matrix)))
 
 
 class TestComplexSplit:

@@ -452,6 +452,11 @@ class TestBruteForceSweep:
         curve = brute_force_sweep(
             catalog("bench-poisson"), "standard", 2, "uxx", n_max=3000
         )
+        # the exact estimator measures each solved level: the curve ends at
+        # the first level whose host count reaches the cap
+        last = curve[-1]
+        assert last.n_dof == host_dof_count("standard", "uxx", 2, 1 << last.refinement_level, False)
+        assert curve[-2].n_dof < 3000 <= last.n_dof
         assert curve[0].observed_rate is None
         for r in curve.records[4:]:
             assert r.observed_rate == pytest.approx(1.0, abs=0.1)

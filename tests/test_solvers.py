@@ -1,6 +1,6 @@
 """Solver tests: banded LU against frozen and dense oracles, the factorization
-residual PA = LU, CG with the definiteness probe, and the segregated saddle
-solve against the monolithic direct one."""
+residual PA = LU, CG with the sign read from the diagonal, and the segregated
+saddle solve against the monolithic direct one."""
 
 import dataclasses
 
@@ -19,6 +19,7 @@ from fem_errbal.solvers import (
     BandedLU,
     NonConvergenceError,
     SingularMatrixError,
+    _cg_core,
     cg_solve,
     lu_banded_solve,
     schur_solve,
@@ -105,7 +106,7 @@ class TestBandedLU:
 
 class TestConjugateGradients:
     def test_matches_lu_after_negation(self):
-        # the standard operator is negative definite; the probe must flip it
+        # the standard operator is negative definite, so CG must negate it
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(5), p=2)
         direct = lu_banded_solve(system)
@@ -134,7 +135,8 @@ class TestConjugateGradients:
         n = 17
         a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         base = assemble_standard(catalog("bench-poisson"), build_mesh(2), p=1)
-        system = dataclasses.replace(base, matrix=from_dense(a, 1, 1), rhs=np.ones(n))
+        system = dataclasses.replace(base, matrix=from_dense(a, 1, 1), rhs=np.ones(n),
+                                     constrained=np.array([], dtype=np.int64))
         report = cg_solve(system, tol_prm=1e-13)
         dense = np.linalg.solve(a, np.ones(n))
         assert np.linalg.norm(report.x - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -155,8 +157,12 @@ class TestConjugateGradients:
     def test_nonconvergence_carries_state(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(6), p=2)
+        # CG on the negated operator, seeded with the boundary values as
+        # cg_solve does, stopped after three iterations
+        x0 = np.zeros(system.n_unknowns)
+        x0[system.constrained] = system.rhs[system.constrained]
         with pytest.raises(NonConvergenceError) as err:
-            cg_solve(system, tol_prm=1e-14, max_iter=3)
+            _cg_core(lambda v: -system.matrix.matvec(v), -system.rhs, 1e-14, 3, x0=x0)
         assert err.value.iterations == 3
         assert err.value.best_x.shape == system.rhs.shape
         assert err.value.residual > 0
