@@ -6,9 +6,9 @@ indexes it: the solvers go through `BandedMatrix.matvec`,
 the array to LAPACK as it is.  Each system records the rows that strong
 boundary elimination made identities (`LinearSystem.constrained`), so no
 solver has to find them in the band.  Complex-coefficient problems are
-assembled in complex arithmetic, boundary conditions are imposed, and the
-system is then split into a real system of twice the size with interleaved
-(Re, Im) unknowns: each entry a+bi becomes the 2x2 block [[a, -b], [b, a]].
+assembled, constrained and stored in complex arithmetic: the band's dtype is
+the one record of whether a system is complex, and the banded LU factors it
+in that dtype.
 
 Weak statements, with n the outward normal and (.,.) the L2 pairing:
 
@@ -101,25 +101,6 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
     rhs[index] = value
 
 
-def split_complex(mat: BandedMatrix, rhs: np.ndarray) -> tuple[BandedMatrix, np.ndarray]:
-    """Real 2n-order image of a complex system with interleaved (Re, Im) rows."""
-    if not np.iscomplexobj(mat.ab):
-        raise ValueError("split_complex expects a complex matrix")
-    out = BandedMatrix(2 * mat.n, 2 * mat.kl + 1, 2 * mat.ku + 1)
-    # stored row k holds the diagonal i - j = k - kl - ku and feeds real rows
-    # 2k+1..2k+3; the workspace rows k < kl are skipped
-    band, k0 = mat.ab[mat.kl :], 2 * mat.kl
-    out.ab[k0 + 2 :: 2, 0::2] = band.real       # (2i, 2j)
-    out.ab[k0 + 3 :: 2, 0::2] = band.imag       # (2i+1, 2j)
-    out.ab[k0 + 1 : -1 : 2, 1::2] = -band.imag  # (2i, 2j+1)
-    out.ab[k0 + 2 :: 2, 1::2] = band.real       # (2i+1, 2j+1)
-    return out, np.stack((rhs.real, rhs.imag), axis=1).ravel()
-
-
-def recombine_split(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]
-
-
 # --- degree-of-freedom layouts -------------------------------------------------
 
 def _cell_dofs(p: int, t: int) -> np.ndarray:
@@ -181,7 +162,10 @@ class LinearSystem:
     flavor: str  # 'standard' | 'mixed'
     p: int
     mesh: Mesh
-    complex_valued: bool
+
+    @property
+    def complex_valued(self) -> bool:
+        return np.iscomplexobj(self.matrix.ab)
 
     @property
     def n_unknowns(self) -> int:
@@ -235,19 +219,6 @@ def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple
     return np.einsum("cq,qi,qj->cij", weights[None, :] * coef, ta, tb)
 
 
-def _system(mat: BandedMatrix, rhs: np.ndarray, constrained: list, flavor: str, p: int,
-            mesh: Mesh) -> LinearSystem:
-    """The assembled system, complex ones split into their real image, where
-    constrained row i becomes rows 2i and 2i+1."""
-    rows = np.array(constrained, dtype=np.int64)
-    complex_valued = np.iscomplexobj(mat.ab)
-    if complex_valued:
-        mat, rhs = split_complex(mat, rhs)
-        rows = np.stack((2 * rows, 2 * rows + 1), axis=1).ravel()
-    return LinearSystem(matrix=mat, rhs=rhs, constrained=rows, flavor=flavor, p=p, mesh=mesh,
-                        complex_valued=complex_valued)
-
-
 # --- standard formulation ------------------------------------------------------
 
 def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
@@ -287,7 +258,8 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
             eliminate_dirichlet(mat, rhs, bdof, bc.value)
             constrained.append(bdof)
 
-    return _system(mat, rhs, constrained, "standard", p, mesh)
+    return LinearSystem(matrix=mat, rhs=rhs, constrained=np.array(constrained, dtype=np.int64),
+                        flavor="standard", p=p, mesh=mesh)
 
 
 # --- mixed formulation ---------------------------------------------------------
@@ -340,21 +312,19 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
             eliminate_dirichlet(mat, rhs, v_pos, -bc.value)
             constrained.append(v_pos)
 
-    return _system(mat, rhs, constrained, "mixed", p, mesh)
+    return LinearSystem(matrix=mat, rhs=rhs, constrained=np.array(constrained, dtype=np.int64),
+                        flavor="mixed", p=p, mesh=mesh)
 
 
 # --- coefficient extraction ----------------------------------------------------
 
 def extract_standard_coeffs(x: np.ndarray, system: LinearSystem) -> np.ndarray:
     """Per-cell nodal coefficients of the standard solution, shape (t, p+1)."""
-    p, t = system.p, system.mesh.cell_count
-    z = recombine_split(x) if system.complex_valued else x
-    return z[_cell_dofs(p, t)]
+    return x[_cell_dofs(system.p, system.mesh.cell_count)]
 
 
 def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (v, u) coefficients of the mixed solution: (t, p+1) and (t, p)."""
     p, t = system.p, system.mesh.cell_count
-    z = recombine_split(x) if system.complex_valued else x
-    return z[mixed_v_positions(p, t)[_cell_dofs(p, t)]], z[mixed_u_positions(p, t)]
+    return x[mixed_v_positions(p, t)[_cell_dofs(p, t)]], x[mixed_u_positions(p, t)]
 

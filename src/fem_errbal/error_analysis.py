@@ -67,7 +67,8 @@ def beta_R(flavor: str) -> int:
 
 
 def host_dof_count(flavor: str, var: str, p: int, cell_count: int, complex_valued: bool) -> int:
-    """DoF count of the space hosting the variable; split systems double it."""
+    """DoF count of the space hosting the variable, in real unknowns: a complex
+    problem counts two per complex unknown, its real and imaginary parts."""
     _check_tags(flavor, var)
     if flavor == "standard":
         n = p * cell_count + 1

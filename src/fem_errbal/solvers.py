@@ -1,16 +1,18 @@
 """Direct and iterative solvers for the assembled systems.
 
 The direct path is a banded LU with partial pivoting (LAPACK gbtrf/gbtrs) on
-the band layout produced by assembly; upper bandwidth grows by the lower
+the band layout produced by assembly, in the band's own dtype: dgbtrf for
+real systems, zgbtrf for complex ones.  Upper bandwidth grows by the lower
 bandwidth during pivoting and no iterative refinement is applied.  The
 iterative path is plain conjugate gradients with the stopping rule
-||F - A x||_2 <= tol_prm ||F||_2.  It takes the identity rows of strongly
-imposed boundary values from assembly (`LinearSystem.constrained`), and the
-sign of the operator from the diagonal of the remaining rows: the standard
-operator is negative definite by construction, so the system is negated
-before iterating.  Mixed saddle systems can alternatively be solved
-segregated: an outer CG on the Schur complement C M^{-1} B (C = B^T up to a
-positive factor) with a three-step matvec, then a mass solve recovers v.
+||F - A x||_2 <= tol_prm ||F||_2, for real systems only.  It takes the
+identity rows of strongly imposed boundary values from assembly
+(`LinearSystem.constrained`), and the sign of the operator from the diagonal
+of the remaining rows: the standard operator is negative definite by
+construction, so the system is negated before iterating.  Mixed saddle
+systems can alternatively be solved segregated: an outer CG on the Schur
+complement C M^{-1} B (C = B^T to rounding) with a three-step matvec, then a
+mass solve recovers v.
 """
 
 from __future__ import annotations
@@ -31,11 +33,14 @@ class SingularMatrixError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, stage: str, iterations: int, residual: float, best_x: np.ndarray):
-        super().__init__(
-            f"{stage} did not converge within {iterations} iterations "
-            f"(relative residual {residual:.3e})"
-        )
+    """An iteration that stopped without meeting its tolerance: it ran out of
+    budget, or (breakdown) it met a direction p with p^T A p <= 0."""
+
+    def __init__(self, stage: str, iterations: int, residual: float, best_x: np.ndarray,
+                 breakdown: bool = False):
+        what = (f"broke down at iteration {iterations}: the operator is not definite" if breakdown
+                else f"did not converge within {iterations} iterations")
+        super().__init__(f"{stage} {what} (relative residual {residual:.3e})")
         self.stage = stage
         self.iterations = iterations
         self.residual = residual
@@ -54,17 +59,17 @@ class SolveReport:
 class BandedLU:
     """Factorization PA = LU of a BandedMatrix, reusable for several solves.
 
-    The band goes to dgbtrf as it is: with overwrite_ab=0 LAPACK's wrapper
-    makes the one Fortran-order copy that it factors, so the matrix is never
-    written.  The band itself stays in C order, where each stored diagonal is
+    The band goes to gbtrf as it is, in its own dtype (dgbtrf for a real band,
+    zgbtrf for a complex one): with overwrite_ab=0 LAPACK's wrapper makes the
+    one Fortran-order copy that it factors, so the matrix is never written.
+    The band itself stays in C order, where each stored diagonal is
     contiguous for `BandedMatrix.matvec`.
     """
 
     def __init__(self, mat: BandedMatrix):
-        if np.iscomplexobj(mat.ab):
-            raise ValueError("factor the split real system, not the complex one")
         self.n, self.kl, self.ku = mat.n, mat.kl, mat.ku
-        lu, ipiv, info = lapack.dgbtrf(mat.ab, mat.kl, mat.ku)
+        gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (mat.ab,))
+        lu, ipiv, info = gbtrf(mat.ab, mat.kl, mat.ku)
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to the factorization")
         if info > 0:
@@ -73,7 +78,7 @@ class BandedLU:
         self._ipiv = ipiv
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgbtrs(self._lu, self.kl, self.ku, np.asfortranarray(b.reshape(-1, 1)), self._ipiv)
+        x, info = self._gbtrs(self._lu, self.kl, self.ku, np.asfortranarray(b.reshape(-1, 1)), self._ipiv)
         if info != 0:
             raise ValueError(f"band back-substitution failed with code {info}")
         return np.ascontiguousarray(x[:, 0])
@@ -106,7 +111,7 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
         ap = matvec(p)
         denom = np.dot(p, ap)
         if denom <= 0.0:
-            raise NonConvergenceError(stage, k, float(np.sqrt(rs) / b_norm), x)
+            raise NonConvergenceError(stage, k, float(np.sqrt(rs) / b_norm), x, breakdown=True)
         alpha = rs / denom
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
@@ -120,16 +125,19 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
 
 
 def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
-    """Conjugate gradients on a definite (possibly negated) system.
+    """Conjugate gradients on a real definite (possibly negated) system.
 
-    The rows assembly constrained are identities; seeding the iterate with
-    their values keeps the Krylov space inside the free rows.  The diagonal
-    entries of a definite operator are its Rayleigh quotients on the unit
-    vectors, so the free rows' diagonal gives its sign; mixed signs, such as
-    a saddle's zero u-diagonal, are rejected.  An indefinite operator whose
-    diagonal has one sign is not caught here: CG raises NonConvergenceError
-    when it breaks down on it.
+    A complex system is refused before iterating: its operator is complex
+    symmetric, not Hermitian.  The rows assembly constrained are identities;
+    seeding the iterate with their values keeps the Krylov space inside the
+    free rows.  The diagonal entries of a definite operator are its Rayleigh
+    quotients on the unit vectors, so the free rows' diagonal gives its sign;
+    mixed signs, such as a saddle's zero u-diagonal, are rejected.  An
+    indefinite operator whose diagonal has one sign is not caught here: CG
+    raises NonConvergenceError, naming the breakdown, when it meets it.
     """
+    if system.complex_valued:
+        raise ValueError("CG needs a real system; use the lu solver for complex problems")
     start = time.perf_counter()
     mat, rhs, constrained = system.matrix, system.rhs, system.constrained
     diagonal = np.delete(mat.diagonal, constrained)
@@ -160,8 +168,8 @@ def schur_solve(system: LinearSystem, outer_tol: float = 1e-10) -> SolveReport:
     Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
     matvec X = B W, M Y = X, Z = C Y, where the mass solves reuse one banded
     LU of M; the gradient unknowns follow from M V = G - B U.  C is the
-    second-equation block taken from the system, a positive multiple of B^T
-    in the pure saddle form, so the operator is symmetric positive definite.
+    second-equation block taken from the system, equal to B^T to rounding in
+    the pure saddle form, so the operator is symmetric positive definite.
     """
     start = time.perf_counter()
     blocks = system.blocks

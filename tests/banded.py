@@ -14,7 +14,6 @@ from fem_errbal.assembly import (
     eliminate_dirichlet,
     mixed_u_positions,
     mixed_v_positions,
-    split_complex,
 )
 from fem_errbal.mesh_basis import basis_table, gauss_legendre_rule, reference_integral
 
@@ -131,6 +130,4 @@ def add_at_assembly(spec, mesh, p: int, flavor: str):
                 rhs[v_pos] += -bc.value * bc.normal
             else:
                 eliminate_dirichlet(mat, rhs, v_pos, -bc.value)
-    if spec.complex_valued:
-        mat, rhs = split_complex(mat, rhs)
     return mat.ab, rhs

@@ -159,8 +159,8 @@ def test_5_predicted_accuracy_matches_brute_force():
 
 
 def test_6_validation_problem_optima_and_reachability():
-    # printed reference optima count complex pairs; ours count real unknowns
-    # after the split, so the comparison doubles the reference values
+    # printed reference optima count complex unknowns; ours count real ones,
+    # two per complex unknown, so the comparison doubles the reference values
     spec = catalog("validation-helmholtz")
     reference = {"u": 6042.0, "ux": 9812.0, "uxx": 123486.0}
     ratios = {}
@@ -244,7 +244,8 @@ def test_8_closed_form_optimum_properties():
     assert worst_eq <= 1e-12
 
 
-# single-solve memory budget for the cost comparison, in split unknowns
+# single-solve memory budget for the cost comparison, in real unknowns (two
+# per complex unknown)
 _COST_BUDGET = 4_000_000
 
 

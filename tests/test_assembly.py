@@ -1,4 +1,4 @@
-"""Assembly tests: band storage, boundary handling, complex splitting, scaling."""
+"""Assembly tests: band storage, boundary handling, complex bands, scaling."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from fem_errbal.assembly import (
     extract_standard_coeffs,
     mixed_u_positions,
     mixed_v_positions,
-    recombine_split,
-    split_complex,
 )
 from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
@@ -131,8 +129,9 @@ class TestStandardAssembly:
         assert system.n_unknowns == 33
         assert system.matrix.kl == system.matrix.ku == 2
         helm = assemble_standard(catalog("bench-helmholtz"), build_mesh(2), 2)
-        assert helm.n_unknowns == 18
-        assert helm.matrix.kl <= 2 * (2 * 2 + 1)
+        assert helm.complex_valued and helm.matrix.dtype == np.complex128
+        assert helm.n_unknowns == 9
+        assert helm.matrix.kl == helm.matrix.ku == 2
 
     def test_patch_exactness(self):
         spec = catalog("case5", 1.0)
@@ -173,8 +172,9 @@ class TestMixedAssembly:
         assert system.n_unknowns == 65
         assert system.matrix.kl == system.matrix.ku == 4  # <= 2(4p+1)
         helm = assemble_mixed(catalog("bench-helmholtz"), build_mesh(2), 2)
-        assert helm.n_unknowns == 2 * (2 * 2 * 4 + 1)
-        assert helm.matrix.kl <= 2 * (4 * 2 + 1)
+        assert helm.complex_valued and helm.matrix.dtype == np.complex128
+        assert helm.n_unknowns == 2 * 2 * 4 + 1
+        assert helm.matrix.kl == helm.matrix.ku == 4
 
     def test_interleaved_positions(self):
         p, t = 2, 4
@@ -271,7 +271,7 @@ def test_assembly_matches_add_at_scatter_bit_for_bit(problem, form):
 @pytest.mark.parametrize("flavor", ["standard", "mixed"])
 def test_recorded_constrained_rows_are_the_identity_rows(problem, flavor):
     # the rows assembly records are the ones a scan of the band finds, for
-    # Dirichlet and Neumann ends, split complex systems and one-cell meshes
+    # Dirichlet and Neumann ends, complex systems and one-cell meshes
     spec = _SCATTER_PROBLEMS[problem]()
     assemble = assemble_standard if flavor == "standard" else assemble_mixed
     for p in range(1, 5):
@@ -280,38 +280,6 @@ def test_recorded_constrained_rows_are_the_identity_rows(problem, flavor):
             assert system.constrained.dtype == np.int64
             np.testing.assert_array_equal(system.constrained,
                                           np.flatnonzero(identity_rows(system.matrix)))
-
-
-class TestComplexSplit:
-    def test_one_by_one_example(self):
-        m = from_dense(np.array([[1.0 + 1.0j]]), 0, 0)
-        split, rhs = split_complex(m, np.array([2.0 + 0.0j]))
-        np.testing.assert_allclose(to_dense(split), [[1.0, -1.0], [1.0, 1.0]])
-        x = np.linalg.solve(to_dense(split), rhs)
-        assert recombine_split(x)[0] == 1.0 - 1.0j
-
-    def test_random_system_agrees_with_complex_solve(self):
-        rng = np.random.default_rng(9)
-        n, kl, ku = 12, 2, 3
-        a = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(max(0, i - kl), min(n, i + ku + 1)):
-                a[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
-            a[i, i] += 4.0
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        split, rhs = split_complex(from_dense(a, kl, ku), b)
-        assert split.kl == 2 * kl + 1 and split.ku == 2 * ku + 1
-        image = np.empty((2 * n, 2 * n))
-        image[0::2, 0::2], image[0::2, 1::2] = a.real, -a.imag
-        image[1::2, 0::2], image[1::2, 1::2] = a.imag, a.real
-        np.testing.assert_array_equal(to_dense(split), image)
-        x = recombine_split(np.linalg.solve(to_dense(split), rhs))
-        x_ref = np.linalg.solve(a, b)
-        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-12)
-
-    def test_rejects_real_input(self):
-        with pytest.raises(ValueError):
-            split_complex(BandedMatrix(2, 0, 0), np.zeros(2))
 
 
 class TestScaling:

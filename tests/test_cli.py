@@ -413,6 +413,14 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["sweep", "predict"])
+    def test_cg_on_a_complex_problem_is_exit_two(self, tmp_path, capsys, subcommand):
+        code = main([subcommand, "--problem", "bench-helmholtz", "--fem", "standard", "--p", "2",
+                     "--solver", "cg", "--n-max", "20000", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: CG needs a real system; use the lu solver for complex problems\n")
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["deploy"])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fem_errbal.assembly import (
-    BandedMatrix,
     assemble_mixed,
     assemble_standard,
 )
@@ -70,14 +69,31 @@ class TestBandedLU:
             BandedLU(from_dense(a + np.diag([0, 0, 0, 0]), 1, 1))
         assert err.value.pivot == 2
 
-    def test_complex_matrix_rejected(self):
-        with pytest.raises(ValueError, match="split real"):
-            BandedLU(BandedMatrix(3, 1, 1, dtype=complex))
+    def test_complex_one_by_one(self):
+        x = BandedLU(from_dense(np.array([[1.0 + 1.0j]]), 0, 0)).solve(np.array([2.0 + 0.0j]))
+        assert x.dtype == np.complex128
+        assert x[0] == 1.0 - 1.0j
 
-    def test_solve_matches_dense_complex_split(self):
+    def test_complex_band_agrees_with_dense_solve(self):
+        rng = np.random.default_rng(9)
+        n, kl, ku = 12, 2, 3
+        a = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(max(0, i - kl), min(n, i + ku + 1)):
+                a[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+            a[i, i] += 4.0
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mat = from_dense(a, kl, ku)
+        ab = mat.ab.copy()
+        x = BandedLU(mat).solve(b)
+        assert mat.ab.tobytes() == ab.tobytes()
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+
+    def test_solve_matches_dense_complex(self):
         spec = catalog("bench-helmholtz")
         system = assemble_mixed(spec, build_mesh(3), p=2)
         report = lu_banded_solve(system)
+        assert report.x.dtype == np.complex128
         dense = np.linalg.solve(to_dense(system.matrix), system.rhs)
         assert np.linalg.norm(report.x - dense) <= 1e-11 * np.linalg.norm(dense)
         assert report.method == "lu"
@@ -141,6 +157,12 @@ class TestConjugateGradients:
         dense = np.linalg.solve(a, np.ones(n))
         assert np.linalg.norm(report.x - dense) <= 1e-10 * np.linalg.norm(dense)
 
+    def test_complex_system_refused(self):
+        # a complex symmetric operator is not Hermitian, so CG does not apply
+        system = assemble_standard(catalog("bench-helmholtz"), build_mesh(3), p=2)
+        with pytest.raises(ValueError, match="CG needs a real system"):
+            cg_solve(system, tol_prm=1e-10)
+
     def test_probe_rejects_saddle(self):
         spec = catalog("case5", coefficient=1.0)
         system = assemble_mixed(spec, build_mesh(3), p=2)
@@ -166,6 +188,16 @@ class TestConjugateGradients:
         assert err.value.iterations == 3
         assert err.value.best_x.shape == system.rhs.shape
         assert err.value.residual > 0
+        assert "cg did not converge within 3 iterations" in str(err.value)
+
+    def test_breakdown_has_its_own_message(self):
+        # p^T A p = 1 - 1 = 0 on the first direction of an indefinite operator
+        a = np.diag([1.0, -1.0])
+        with pytest.raises(NonConvergenceError) as err:
+            _cg_core(lambda v: a @ v, np.ones(2), 1e-12, 10)
+        assert err.value.iterations == 1
+        assert str(err.value).startswith(
+            "cg broke down at iteration 1: the operator is not definite")
 
 
 class TestSchur:
