@@ -1,7 +1,8 @@
 """Discrete linear systems for the standard and mixed formulations.
 
 Matrices live in LAPACK-compatible band storage, and this module alone
-indexes it: the solvers go through `BandedMatrix.matvec`,
+indexes it: the solvers go through `BandedMatrix.matvec` for a single
+product, `BandedMatrix.operator` for the many products of an iteration,
 `BandedMatrix.diagonal` and `LinearSystem.blocks`, and the banded LU hands
 the array to LAPACK as it is.  Each system records the rows that strong
 boundary elimination made identities (`LinearSystem.constrained`), so no
@@ -83,6 +84,20 @@ class BandedMatrix:
             if hi > lo:
                 y[lo - d : hi - d] += self.ab[r0 - d, lo:hi] * x[lo:hi]
         return y
+
+    def operator(self, sign: float = 1.0) -> sp.dia_matrix:
+        """sign times the matrix as a DIA operator, for many products with it.
+
+        It holds one copy of the kl + ku + 1 stored diagonals in ascending
+        offset order, the order in which `matvec` adds them, so each row sum
+        of a real product rounds as `matvec`'s does.  Negation is exact:
+        operator(-1) @ x is -matvec(x) bit for bit, but for the sign of an
+        exactly zero entry.  A complex product can differ from `matvec`'s in
+        its last bit where numpy's complex multiply fuses (FMA); this one
+        rounds each real product.
+        """
+        data = np.ascontiguousarray(sign * self.ab[self.kl :][::-1])
+        return sp.dia_matrix((data, np.arange(-self.kl, self.ku + 1)), shape=(self.n, self.n))
 
 
 def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -> None:

@@ -9,10 +9,12 @@ iterative path is plain conjugate gradients with the stopping rule
 identity rows of strongly imposed boundary values from assembly
 (`LinearSystem.constrained`), and the sign of the operator from the diagonal
 of the remaining rows: the standard operator is negative definite by
-construction, so the system is negated before iterating.  Mixed saddle
-systems can alternatively be solved segregated: an outer CG on the Schur
-complement C M^{-1} B (C = B^T to rounding) with a three-step matvec, then a
-mass solve recovers v.
+construction, so the system is negated before iterating.  CG's products run
+through one DIA operator built per solve, which gives the bits of
+`BandedMatrix.matvec`; the LU residual, a single product, stays on `matvec`.
+Mixed saddle systems can alternatively be solved segregated: an outer CG on
+the Schur complement C M^{-1} B (C = B^T to rounding) with a three-step
+matvec, then a mass solve recovers v.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
         self.residual = residual
         self.best_x = best_x
+        self.breakdown = breakdown
 
 
 @dataclass
@@ -63,7 +66,8 @@ class BandedLU:
     zgbtrf for a complex one): with overwrite_ab=0 LAPACK's wrapper makes the
     one Fortran-order copy that it factors, so the matrix is never written.
     The band itself stays in C order, where each stored diagonal is
-    contiguous for `BandedMatrix.matvec`.
+    contiguous for `BandedMatrix.matvec` and for the copy that
+    `BandedMatrix.operator` makes of the diagonals.
     """
 
     def __init__(self, mat: BandedMatrix):
@@ -135,6 +139,12 @@ def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
     mixed signs, such as a saddle's zero u-diagonal, are rejected.  An
     indefinite operator whose diagonal has one sign is not caught here: CG
     raises NonConvergenceError, naming the breakdown, when it meets it.
+
+    Every product, the final residual's too, goes through one DIA operator
+    that holds the band times the sign (`BandedMatrix.operator`), built once
+    per solve.  It adds the diagonals in `BandedMatrix.matvec`'s order and
+    negation is exact, so CG takes the same iterates as through sign times
+    `matvec`, and ||sign F - sign A x|| is ||F - A x|| bit for bit.
     """
     if system.complex_valued:
         raise ValueError("CG needs a real system; use the lu solver for complex problems")
@@ -149,16 +159,12 @@ def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
         raise ValueError("diagonal of the free rows has mixed signs; CG needs a definite operator")
     x0 = np.zeros(mat.n)
     x0[constrained] = rhs[constrained]
+    op, b = mat.operator(sign), sign * rhs
 
-    def matvec(v):
-        y = mat.matvec(v)
-        y *= sign
-        return y
-
-    x, iters, _ = _cg_core(matvec, sign * rhs, tol_prm, 10 * mat.n, x0=x0)
+    x, iters, _ = _cg_core(lambda v: op @ v, b, tol_prm, 10 * mat.n, x0=x0)
     elapsed = time.perf_counter() - start
     rhs_norm = np.linalg.norm(rhs)
-    res = np.linalg.norm(rhs - mat.matvec(x)) / rhs_norm if rhs_norm else 0.0
+    res = np.linalg.norm(b - op @ x) / rhs_norm if rhs_norm else 0.0
     return SolveReport(x=x, method="cg", iterations=iters, rel_residual=float(res), wall_time=elapsed)
 
 

@@ -88,6 +88,47 @@ class TestBandedMatrix:
                                       [True, False, False, False])
 
 
+def _unfused_matvec(mat: BandedMatrix, x: np.ndarray) -> np.ndarray:
+    """`BandedMatrix.matvec` with every complex product formed from rounded
+    real products, (ar xr - ai xi) + (ar xi + ai xr) i, as plain IEEE
+    arithmetic forms it; numpy's complex multiply may fuse them (FMA)."""
+    y = np.zeros(mat.n, dtype=np.result_type(mat.dtype, x.dtype))
+    r0 = mat.kl + mat.ku
+    for d in range(-mat.kl, mat.ku + 1):
+        lo, hi = max(0, d), mat.n + min(0, d)
+        if hi > lo:
+            a, v = mat.ab[r0 - d, lo:hi], x[lo:hi]
+            re, im = a.real * v.real - a.imag * v.imag, a.real * v.imag + a.imag * v.real
+            y[lo - d : hi - d] += re + 1j * im
+    return y
+
+
+@pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))
+@pytest.mark.parametrize("flavor", ["standard", "mixed"])
+def test_operator_products_are_matvec_bit_for_bit(problem, flavor):
+    # CG iterates through the DIA operator and the LU residual through
+    # matvec; a build whose DIA loop fused its products would fail here
+    # rather than move the floors
+    spec = _SCATTER_PROBLEMS[problem]()
+    assemble = assemble_standard if flavor == "standard" else assemble_mixed
+    rng = np.random.default_rng(17)
+    for p in range(1, 5):
+        for level in (0, 3, 6):
+            mat = assemble(spec, build_mesh(level), p).matrix
+            x = rng.standard_normal(mat.n)
+            plus, minus = mat.operator(1.0), mat.operator(-1.0)
+            if np.iscomplexobj(mat.ab):
+                x = x + 1j * rng.standard_normal(mat.n)
+                _assert_same_bits(plus @ x, _unfused_matvec(mat, x))
+                # matvec itself differs only where numpy fuses a complex product
+                np.testing.assert_allclose(plus @ x, mat.matvec(x), rtol=1e-14,
+                                           atol=1e-14 * np.abs(mat.ab).max() * np.abs(x).max())
+                _assert_same_bits(minus @ x, -(plus @ x))
+            else:
+                _assert_same_bits(plus @ x, mat.matvec(x))
+                _assert_same_bits(minus @ x, -mat.matvec(x))
+
+
 class TestStandardAssembly:
     def test_unconstrained_interior_row(self):
         # REF=1, p=1: the discrete operator's interior row is {+2, -4, +2}

@@ -189,6 +189,7 @@ class TestConjugateGradients:
         assert err.value.best_x.shape == system.rhs.shape
         assert err.value.residual > 0
         assert "cg did not converge within 3 iterations" in str(err.value)
+        assert err.value.breakdown is False
 
     def test_breakdown_has_its_own_message(self):
         # p^T A p = 1 - 1 = 0 on the first direction of an indefinite operator
@@ -198,6 +199,39 @@ class TestConjugateGradients:
         assert err.value.iterations == 1
         assert str(err.value).startswith(
             "cg broke down at iteration 1: the operator is not definite")
+        assert err.value.breakdown is True
+
+    @staticmethod
+    def _through_matvec(system, tol):
+        """CG driven by -matvec, seeded as cg_solve seeds it, with its
+        relative residual ||F - A x|| / ||F||."""
+        x0 = np.zeros(system.n_unknowns)
+        x0[system.constrained] = system.rhs[system.constrained]
+        mat, rhs = system.matrix, system.rhs
+        x, iters, _ = _cg_core(lambda v: -mat.matvec(v), -rhs, tol, 10 * mat.n, x0=x0)
+        return x, iters, np.linalg.norm(rhs - mat.matvec(x)) / np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("name,coefficient", [
+        ("bench-poisson", None), ("bench-diffusion", None),
+        *[(f"case{i}", c) for i in range(1, 6) for c in (0.01, 1.0, 100.0)]])
+    def test_operator_gives_the_iterates_of_matvec(self, name, coefficient):
+        spec = catalog(name) if coefficient is None else catalog(name, coefficient=coefficient)
+        for p in range(1, 5):
+            system = assemble_standard(spec, build_mesh(5), p)
+            report = cg_solve(system, tol_prm=1e-10)
+            x, iters, res = self._through_matvec(system, 1e-10)
+            assert report.x.tobytes() == x.tobytes()
+            assert report.iterations == iters
+            assert report.rel_residual == res
+
+    @pytest.mark.parametrize(("level", "iterations"), [(8, 281), (10, 1153)])
+    def test_iteration_counts_pinned(self, level, iterations):
+        # bench-poisson standard p=2 at tol 1e-10, as the iterative benchmark runs it
+        system = assemble_standard(catalog("bench-poisson"), build_mesh(level), 2)
+        report = cg_solve(system, tol_prm=1e-10)
+        assert report.iterations == iterations
+        x, _, _ = self._through_matvec(system, 1e-10)
+        assert report.x.tobytes() == x.tobytes()
 
 
 class TestSchur:
