@@ -2,14 +2,14 @@
 
 Matrices live in LAPACK-compatible band storage, and this module alone
 indexes it: the solvers go through `BandedMatrix.matvec` for a single
-product, `BandedMatrix.operator` for the many products of an iteration,
-`BandedMatrix.diagonal` and `LinearSystem.blocks`, and the banded LU hands
-the array to LAPACK as it is.  Each system records the rows that strong
-boundary elimination made identities (`LinearSystem.constrained`), so no
-solver has to find them in the band.  Complex-coefficient problems are
-assembled, constrained and stored in complex arithmetic: the band's dtype is
-the one record of whether a system is complex, and the banded LU factors it
-in that dtype.
+product, through `BandedMatrix.operator`, the one sparse form of the band,
+for CG's products and for the block view `LinearSystem.blocks`, and the
+banded LU hands the array to LAPACK as it is.  Each system records the rows
+that strong boundary elimination made identities
+(`LinearSystem.constrained`), so no solver has to find them in the band.
+Complex-coefficient problems are assembled, constrained and stored in
+complex arithmetic: the band's dtype is the one record of whether a system
+is complex, and the banded LU factors it in that dtype.
 
 Weak statements, with n the outward normal and (.,.) the L2 pairing:
 
@@ -21,8 +21,8 @@ Weak statements, with n the outward normal and (.,.) the L2 pairing:
              only through the first equation's right-hand side.
 
 The mixed unknowns are interleaved cell by cell so the monolithic matrix stays
-banded; the segregated solver's block (M, B, C, ...) view is sliced from that
-band on each access, so there is one copy of the system.
+banded; the segregated solver's block (M, B, C, ...) view is sliced from the
+band's sparse form on each access, so there is one copy of the system.
 
 Assembly never scales the matrix or the right-hand side; the frame that
 errors are measured in belongs to the prediction module.
@@ -63,20 +63,12 @@ class BandedMatrix:
         self.ku = ku
         self.ab = np.zeros((2 * kl + ku + 1, n), dtype=dtype)
 
-    @property
-    def dtype(self):
-        return self.ab.dtype
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.ab[self.kl + self.ku]
-
     def add_at(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add; duplicate (row, col) pairs accumulate."""
         np.add.at(self.ab, (self.kl + self.ku + rows - cols, cols), values)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.n, dtype=np.result_type(self.dtype, x.dtype))
+        y = np.zeros(self.n, dtype=np.result_type(self.ab.dtype, x.dtype))
         r0 = self.kl + self.ku
         for d in range(-self.kl, self.ku + 1):
             lo = max(0, d)
@@ -85,18 +77,18 @@ class BandedMatrix:
                 y[lo - d : hi - d] += self.ab[r0 - d, lo:hi] * x[lo:hi]
         return y
 
-    def operator(self, sign: float = 1.0) -> sp.dia_matrix:
-        """sign times the matrix as a DIA operator, for many products with it.
+    def operator(self) -> sp.dia_matrix:
+        """The matrix as a DIA operator, for many products with it.
 
-        It holds one copy of the kl + ku + 1 stored diagonals in ascending
+        It holds its own copy of the kl + ku + 1 stored diagonals in ascending
         offset order, the order in which `matvec` adds them, so each row sum
-        of a real product rounds as `matvec`'s does.  Negation is exact:
-        operator(-1) @ x is -matvec(x) bit for bit, but for the sign of an
-        exactly zero entry.  A complex product can differ from `matvec`'s in
-        its last bit where numpy's complex multiply fuses (FMA); this one
-        rounds each real product.
+        of a real product rounds as `matvec`'s does.  Negating its data in
+        place is exact: the product is then -matvec(x) bit for bit, but for
+        the sign of an exactly zero entry.  A complex product can differ from
+        `matvec`'s in its last bit where numpy's complex multiply fuses
+        (FMA); this one rounds each real product.
         """
-        data = np.ascontiguousarray(sign * self.ab[self.kl :][::-1])
+        data = self.ab[self.kl :][::-1].copy()
         return sp.dia_matrix((data, np.arange(-self.kl, self.ku + 1)), shape=(self.n, self.n))
 
 
@@ -155,8 +147,9 @@ def mixed_u_positions(p: int, t: int) -> np.ndarray:
 class SaddleBlocks:
     """Block view of a real mixed system: M V + B U = G, C V + R U = H.
 
-    pure_saddle means R = 0 and C = B^T to rounding, which is what the
-    segregated Schur path requires.
+    pure_saddle means R = 0 and C = B^T exactly, which is what the
+    segregated Schur path requires: with D = 1 and r = 0 both blocks are
+    the same exactly rounded reference integrals.
     """
 
     M: BandedMatrix
@@ -191,29 +184,15 @@ class LinearSystem:
         """Block view of a real mixed system, sliced from the band; None otherwise."""
         if self.flavor != "mixed" or self.complex_valued:
             return None
-        p, t, mat = self.p, self.mesh.cell_count, self.matrix
+        p, t = self.p, self.mesh.cell_count
         pos_v, pos_u = mixed_v_positions(p, t), mixed_u_positions(p, t).ravel()
-        nv, nu = pos_v.size, pos_u.size
-        gv = _cell_dofs(p, t)
-        gu = np.arange(nu).reshape(t, p)
-
-        def entries(rows, cols):
-            return mat.ab[mat.kl + mat.ku + rows - cols, cols]
-
-        def block(rows, cols, row_pos, col_pos, shape):
-            rows, cols = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-            vals = entries(row_pos[rows], col_pos[cols])
-            return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-
-        m_block = BandedMatrix(nv, p, p)
-        for k in range(-p, p + 1):  # M[j + k, j]
-            js = np.arange(max(0, -k), nv - max(0, k))
-            m_block.ab[2 * p + k, js] = entries(pos_v[js + k], pos_v[js])
-        b_block = block(gv, gu, pos_v, pos_u, (nv, nu))
-        c_block = block(gu, gv, pos_u, pos_v, (nu, nv))
-        pure_saddle = block(gu, gu, pos_u, pos_u, (nu, nu)).count_nonzero() == 0 and bool(
-            abs(c_block - b_block.T).max() <= 1e-13 * (abs(b_block).max() + 1e-300)
-        )
+        a = self.matrix.operator().tocsr()  # drops the band's zeros
+        a_v, a_u = a[pos_v], a[pos_u]
+        b_block, c_block = a_v[:, pos_u], a_u[:, pos_v]
+        m_dia = a_v[:, pos_v].todia()
+        m_block = BandedMatrix(pos_v.size, p, p)
+        m_block.ab[2 * p - m_dia.offsets] = m_dia.data
+        pure_saddle = a_u[:, pos_u].nnz == 0 and (c_block != b_block.T).nnz == 0
         return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
                             H=self.rhs[pos_u], pure_saddle=pure_saddle, pos_v=pos_v, pos_u=pos_u)
 

@@ -92,7 +92,7 @@ def _unfused_matvec(mat: BandedMatrix, x: np.ndarray) -> np.ndarray:
     """`BandedMatrix.matvec` with every complex product formed from rounded
     real products, (ar xr - ai xi) + (ar xi + ai xr) i, as plain IEEE
     arithmetic forms it; numpy's complex multiply may fuse them (FMA)."""
-    y = np.zeros(mat.n, dtype=np.result_type(mat.dtype, x.dtype))
+    y = np.zeros(mat.n, dtype=np.result_type(mat.ab.dtype, x.dtype))
     r0 = mat.kl + mat.ku
     for d in range(-mat.kl, mat.ku + 1):
         lo, hi = max(0, d), mat.n + min(0, d)
@@ -106,9 +106,9 @@ def _unfused_matvec(mat: BandedMatrix, x: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))
 @pytest.mark.parametrize("flavor", ["standard", "mixed"])
 def test_operator_products_are_matvec_bit_for_bit(problem, flavor):
-    # CG iterates through the DIA operator and the LU residual through
-    # matvec; a build whose DIA loop fused its products would fail here
-    # rather than move the floors
+    # CG iterates through the DIA operator, negated in place as cg_solve
+    # negates it, and the LU residual through matvec; a build whose DIA loop
+    # fused its products would fail here rather than move the floors
     spec = _SCATTER_PROBLEMS[problem]()
     assemble = assemble_standard if flavor == "standard" else assemble_mixed
     rng = np.random.default_rng(17)
@@ -116,7 +116,8 @@ def test_operator_products_are_matvec_bit_for_bit(problem, flavor):
         for level in (0, 3, 6):
             mat = assemble(spec, build_mesh(level), p).matrix
             x = rng.standard_normal(mat.n)
-            plus, minus = mat.operator(1.0), mat.operator(-1.0)
+            plus, minus = mat.operator(), mat.operator()
+            minus.data *= -1.0
             if np.iscomplexobj(mat.ab):
                 x = x + 1j * rng.standard_normal(mat.n)
                 _assert_same_bits(plus @ x, _unfused_matvec(mat, x))
@@ -170,7 +171,7 @@ class TestStandardAssembly:
         assert system.n_unknowns == 33
         assert system.matrix.kl == system.matrix.ku == 2
         helm = assemble_standard(catalog("bench-helmholtz"), build_mesh(2), 2)
-        assert helm.complex_valued and helm.matrix.dtype == np.complex128
+        assert helm.complex_valued and helm.matrix.ab.dtype == np.complex128
         assert helm.n_unknowns == 9
         assert helm.matrix.kl == helm.matrix.ku == 2
 
@@ -213,7 +214,7 @@ class TestMixedAssembly:
         assert system.n_unknowns == 65
         assert system.matrix.kl == system.matrix.ku == 4  # <= 2(4p+1)
         helm = assemble_mixed(catalog("bench-helmholtz"), build_mesh(2), 2)
-        assert helm.complex_valued and helm.matrix.dtype == np.complex128
+        assert helm.complex_valued and helm.matrix.ab.dtype == np.complex128
         assert helm.n_unknowns == 2 * 2 * 4 + 1
         assert helm.matrix.kl == helm.matrix.ku == 4
 
@@ -264,8 +265,22 @@ class TestMixedAssembly:
         np.testing.assert_array_equal(blocks.H, system.rhs[u])
 
     def test_pure_saddle_flag(self):
-        assert assemble_mixed(catalog("bench-poisson"), build_mesh(2), 2).blocks.pure_saddle
-        assert not assemble_mixed(catalog("bench-diffusion"), build_mesh(2), 2).blocks.pure_saddle
+        # with D = 1 and r = 0, C and B^T are the same exactly rounded
+        # reference integrals, so the flag tests C == B^T exactly
+        for problem, make_spec in _SCATTER_PROBLEMS.items():
+            spec = make_spec()
+            for p in range(1, 5):
+                for level in (0, 3, 6):
+                    blocks = assemble_mixed(spec, build_mesh(level), p).blocks
+                    assert assemble_standard(spec, build_mesh(level), p).blocks is None
+                    if spec.complex_valued:
+                        assert blocks is None, problem
+                    elif problem == "bench-diffusion":
+                        # on one linear cell whose Neumann end is eliminated,
+                        # the one C entry left is D(0) = 1, which equals B's
+                        assert blocks.pure_saddle == ((p, level) == (1, 0)), (p, level)
+                    else:
+                        assert blocks.pure_saddle, (problem, p, level)
 
     def test_dirichlet_enters_first_equation_rhs(self):
         system = assemble_mixed(catalog("case5", 1.0), build_mesh(2), 2)

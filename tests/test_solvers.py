@@ -240,7 +240,7 @@ class TestSchur:
         system = assemble_mixed(spec, build_mesh(4), p=2)
         direct = lu_banded_solve(system)
         seg = schur_solve(system, outer_tol=1e-13)
-        assert seg.method == "schur[direct]"
+        assert seg.method == "schur"
         assert seg.iterations > 0
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
         assert rel <= 1e-10
@@ -267,6 +267,12 @@ class TestSchur:
         seg = schur_solve(system, outer_tol=1e-13)
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
         assert rel <= 1e-9
+
+    @pytest.mark.parametrize(("level", "iterations"), [(6, 101), (8, 390)])
+    def test_iteration_counts_pinned(self, level, iterations):
+        # bench-poisson mixed p=3 at tol 1e-10, as the iterative benchmark runs it
+        system = assemble_mixed(catalog("bench-poisson"), build_mesh(level), 3)
+        assert schur_solve(system, outer_tol=1e-10).iterations == iterations
 
     def test_requires_pure_saddle(self):
         spec = catalog("bench-diffusion")
