@@ -110,11 +110,6 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
 
 # --- degree-of-freedom layouts -------------------------------------------------
 
-def _cell_dofs(p: int, t: int) -> np.ndarray:
-    """Indices of each cell's p+1 continuous unknowns, shape (t, p+1)."""
-    return np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
-
-
 def _add_cell_blocks(mat: BandedMatrix, values: np.ndarray, rows, cols, stride: int, t: int) -> None:
     """Add values[..., i, j] at (stride*c + rows[i], stride*c + cols[j]) for cells c < t.
 
@@ -213,6 +208,21 @@ def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple
     return np.einsum("cq,qi,qj->cij", weights[None, :] * coef, ta, tb)
 
 
+def _cell_loads(spec: ProblemSpec, mesh: Mesh, x_q: np.ndarray, weights: np.ndarray,
+                table: np.ndarray, dtype) -> np.ndarray:
+    """Integrals of f times each basis function of `table` over every cell, shape (cells, nb).
+
+    f is evaluated and weighted one block of cells at a time
+    (`Mesh.cell_blocks`); each cell's sum rounds as on the whole mesh.
+    """
+    fe = np.empty((mesh.cell_count, table.shape[1]), dtype=dtype)
+    for cells in mesh.cell_blocks():
+        fv = np.asarray(spec.f(x_q[cells]), dtype=dtype)
+        np.einsum("cq,qi->ci", weights[None, :] * fv, table, out=fe[cells])
+    fe *= mesh.h
+    return fe
+
+
 # --- standard formulation ------------------------------------------------------
 
 def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
@@ -222,15 +232,14 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     m = p * t + 1
     dtype = complex if spec.complex_valued else float
     phi, dphi = (p, True, 0), (p, True, 1)
-    x_q = (np.arange(t)[:, None] + quad.points[None, :]) * h
+    x_q = mesh.quadrature_points(quad.points)
 
     dv = np.asarray(spec.D(x_q), dtype=dtype)
     ke = -(1.0 / h) * _cell_integrals(dv, quad.weights, n_quad, dphi, dphi)
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     if np.any(rv != 0):
         ke = ke + h * _cell_integrals(rv, quad.weights, n_quad, phi, phi)
-    fe = h * np.einsum("cq,qi->ci", quad.weights[None, :] * np.asarray(spec.f(x_q), dtype=dtype),
-                       basis_table(p, True, n_quad, 0))
+    fe = _cell_loads(spec, mesh, x_q, quad.weights, basis_table(p, True, n_quad, 0), dtype)
 
     mat = BandedMatrix(m, p, p, dtype=dtype)
     local = range(p + 1)
@@ -267,7 +276,7 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     t, h = mesh.cell_count, mesh.h
     total = 2 * p * t + 1
     dtype = complex if spec.complex_valued else float
-    x_q = (np.arange(t)[:, None] + quad.points[None, :]) * h
+    x_q = mesh.quadrature_points(quad.points)
 
     me = h * reference_integral(phi, phi)
     be = -reference_integral(psi, dphi).T                                # (p+1, p)
@@ -279,8 +288,7 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
         + _cell_integrals(dv, quad.weights, n_quad, psi, dphi)
     )
     rv = np.asarray(spec.r(x_q), dtype=dtype)
-    he = h * np.einsum("cq,qe->ce", quad.weights[None, :] * np.asarray(spec.f(x_q), dtype=dtype),
-                       basis_table(p - 1, False, n_quad, 0))
+    he = _cell_loads(spec, mesh, x_q, quad.weights, basis_table(p - 1, False, n_quad, 0), dtype)
 
     # cell c holds v at 2pc + v_off and u at 2pc + u_off
     v_off = [0, *range(p + 1, 2 * p + 1)]
@@ -313,12 +321,27 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
 # --- coefficient extraction ----------------------------------------------------
 
 def extract_standard_coeffs(x: np.ndarray, system: LinearSystem) -> np.ndarray:
-    """Per-cell nodal coefficients of the standard solution, shape (t, p+1)."""
-    return x[_cell_dofs(system.p, system.mesh.cell_count)]
+    """Per-cell nodal coefficients of the standard solution, shape (t, p+1).
+
+    Row c is x[pc : pc + p + 1], copied from strided views of x.
+    """
+    p, t = system.p, system.mesh.cell_count
+    coeffs = np.empty((t, p + 1), dtype=x.dtype)
+    coeffs[:, :p] = x[:-1].reshape(t, p)
+    coeffs[:, p] = x[p::p]
+    return coeffs
 
 
 def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (v, u) coefficients of the mixed solution: (t, p+1) and (t, p)."""
-    p, t = system.p, system.mesh.cell_count
-    return x[mixed_v_positions(p, t)[_cell_dofs(p, t)]], x[mixed_u_positions(p, t)]
+    """Per-cell (v, u) coefficients of the mixed solution: (t, p+1) and (t, p).
 
+    Cell c's unknowns are x[2pc : 2pc + 2p + 1], v at offsets 0 and p+1..2p
+    and u at 1..p (see `assemble_mixed`); both are copied from strided views.
+    """
+    p, t = system.p, system.mesh.cell_count
+    cell = x[:-1].reshape(t, 2 * p)
+    v = np.empty((t, p + 1), dtype=x.dtype)
+    v[:, 0] = cell[:, 0]
+    v[:, 1:p] = cell[:, p + 1 :]
+    v[:, p] = x[2 * p :: 2 * p]
+    return v, cell[:, 1 : p + 1].copy()

@@ -118,15 +118,17 @@ class FieldView:
         vals = np.einsum("mi,mi->m", table.astype(self.coeffs.dtype), self.coeffs[cell])
         return vals / self.mesh.h**self.deriv_order
 
-    def eval_on_cells(self, n_quad: int, child: int | None = None) -> np.ndarray:
-        """Values at the points of the n_quad-point rule in every cell, shape (cells, n_quad).
+    def eval_on_cells(self, n_quad: int, child: int | None = None,
+                      cells: slice = slice(None)) -> np.ndarray:
+        """Values at the points of the n_quad-point rule in each cell, shape (cells, n_quad).
 
         With child k in {0, 1} the points are those of the rule on each cell's
-        k-th half (see `basis_table`).
+        k-th half (see `basis_table`).  `cells` picks a slice of the cells.
         """
         table = basis_table(self.basis.degree, self.basis.continuous, n_quad, self.deriv_order,
                             child)
-        return (self.coeffs @ table.T) / self.mesh.h**self.deriv_order
+        vals = self.coeffs[cells] @ table.T
+        return vals / self.mesh.h**self.deriv_order if self.deriv_order else vals
 
 
 def reconstruct(report: SolveReport, system: LinearSystem, var: str) -> FieldView:
@@ -221,36 +223,44 @@ def write_curve_csv(path: str | Path, comment_lines: Sequence[str], curve: Error
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _norm(mesh: Mesh, n_quad: int, integrand) -> float:
+    """Composite n_quad-point Gauss L2 norm over the mesh of integrand(cells).
+
+    integrand(cells) gives the values at the rule's points in a slice of
+    cells, shape (cells, n_quad).  The mesh is walked in blocks
+    (`Mesh.cell_blocks`), each writing its per-cell sums into one vector that
+    a single np.sum adds up, so the norm has the bits of the whole-mesh sum
+    while no temporary grows past one block.
+    """
+    weights = gauss_legendre_rule(n_quad).weights
+    sums = np.empty(mesh.cell_count)
+    for cells in mesh.cell_blocks():
+        np.matmul(np.abs(integrand(cells)) ** 2, weights, out=sums[cells])
+    return float(np.sqrt(mesh.h * np.sum(sums)))
+
+
 def l2_norm(field) -> float:
     """Composite-Gauss L2 norm of a FieldView, or of a plain callable on [0, 1]."""
     if isinstance(field, FieldView):
         n_quad = field.fem_degree + 4
-        rule = gauss_legendre_rule(n_quad)
-        vals = field.eval_on_cells(n_quad)
-        h = field.mesh.h
-    else:
-        mesh = build_mesh(8)
-        rule = gauss_legendre_rule(10)
-        x_q = (np.arange(mesh.cell_count)[:, None] + rule.points[None, :]) * mesh.h
-        vals = np.asarray(field(x_q))
-        h = mesh.h
-    sq = np.abs(vals) ** 2
-    return float(np.sqrt(h * np.sum(sq @ rule.weights)))
+        return _norm(field.mesh, n_quad, lambda cells: field.eval_on_cells(n_quad, cells=cells))
+    mesh, points = build_mesh(8), gauss_legendre_rule(10).points
+    return _norm(mesh, 10, lambda cells: np.asarray(field(mesh.quadrature_points(points, cells))))
 
 
 def error_exact(field: FieldView, spec: ProblemSpec, frame: float = 1.0) -> ErrorRecord:
     """E_h = ||var_h - var_exc / frame|| by per-cell quadrature, in the field's solve frame."""
     n_quad = field.fem_degree + 4
-    rule = gauss_legendre_rule(n_quad)
-    t, h = field.mesh.cell_count, field.mesh.h
-    x_q = (np.arange(t)[:, None] + rule.points[None, :]) * h
-    exact = eval_exact(spec, field.var, x_q) / frame
-    diff = np.abs(field.eval_on_cells(n_quad) - exact) ** 2
-    value = float(np.sqrt(h * np.sum(diff @ rule.weights)))
+    points = gauss_legendre_rule(n_quad).points
+
+    def diff(cells: slice) -> np.ndarray:
+        exact = eval_exact(spec, field.var, field.mesh.quadrature_points(points, cells)) / frame
+        return field.eval_on_cells(n_quad, cells=cells) - exact
+
     return ErrorRecord(
         refinement_level=field.mesh.refinement_level,
         n_dof=field.n_dof,
-        value=value,
+        value=_norm(field.mesh, n_quad, diff),
         estimator="exact",
     )
 
@@ -266,17 +276,20 @@ def error_refined(coarse: FieldView, fine: FieldView) -> ErrorRecord:
     if (coarse.var, coarse.flavor, coarse.fem_degree) != (fine.var, fine.flavor, fine.fem_degree):
         raise ValueError("estimator needs the same variable, flavor, and degree")
     n_quad = fine.fem_degree + 4
-    rule = gauss_legendre_rule(n_quad)
-    fine_vals = fine.eval_on_cells(n_quad)
-    coarse_vals = np.empty_like(fine_vals)
-    coarse_vals[0::2] = coarse.eval_on_cells(n_quad, child=0)
-    coarse_vals[1::2] = coarse.eval_on_cells(n_quad, child=1)
-    diff = np.abs(coarse_vals - fine_vals) ** 2
-    value = float(np.sqrt(fine.mesh.h * np.sum(diff @ rule.weights)))
+
+    def diff(cells: slice) -> np.ndarray:
+        # fine cells start at an even index, so their parents are a slice too
+        fine_vals = fine.eval_on_cells(n_quad, cells=cells)
+        parents = slice(cells.start // 2, cells.stop // 2)
+        coarse_vals = np.empty_like(fine_vals)
+        coarse_vals[0::2] = coarse.eval_on_cells(n_quad, child=0, cells=parents)
+        coarse_vals[1::2] = coarse.eval_on_cells(n_quad, child=1, cells=parents)
+        return coarse_vals - fine_vals
+
     return ErrorRecord(
         refinement_level=coarse.mesh.refinement_level,
         n_dof=coarse.n_dof,
-        value=value,
+        value=_norm(fine.mesh, n_quad, diff),
         estimator="refined",
     )
 

@@ -268,9 +268,12 @@ def prediction_loop(
     checks that the estimate still sits above the modeled round-off band and
     below the DoF cap n_max (N_MAX when None), then accepts the first level
     whose observed rate reaches beta_T c_r; the anchor fixes alpha_T and the
-    closed form gives N_opt and E_min.  Numerical outcomes never raise: the
-    status field reports them.  A norm that does not settle raises
-    NormalizationError.
+    closed form gives N_opt and E_min.  The status field reports the
+    prediction's own outcomes.  Three errors pass through it: a norm that
+    does not settle raises NormalizationError, and the solves' own
+    NonConvergenceError (a CG or Schur budget or breakdown) and
+    SingularMatrixError (an exactly singular LU pivot) come up from
+    `solve_system` unchanged.
     """
     scheme, frame_var = _checked_frame(flavor, p, var, scheme)
     n_max = N_MAX if n_max is None else n_max

@@ -1,5 +1,6 @@
-"""Dense views of band storage, a scan for identity rows and a reference
-assembly, for checks on small systems.
+"""Dense views of band storage, a scan for identity rows, and a reference
+assembly with the global index tables it scatters through, for checks on
+small systems.
 
 Built on `BandedMatrix.ab`, `BandedMatrix.add_at` and the factors a `BandedLU`
 keeps, so the package itself needs no dense or inspection API.
@@ -9,7 +10,6 @@ import numpy as np
 
 from fem_errbal.assembly import (
     BandedMatrix,
-    _cell_dofs,
     _cell_integrals,
     eliminate_dirichlet,
     mixed_u_positions,
@@ -67,6 +67,11 @@ def reconstruct(factor) -> np.ndarray:
     return a
 
 
+def cell_dofs(p: int, t: int) -> np.ndarray:
+    """Global indices of each cell's p+1 continuous unknowns, shape (t, p+1)."""
+    return np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
+
+
 def _scatter(mat: BandedMatrix, row_dofs: np.ndarray, col_dofs: np.ndarray, values: np.ndarray) -> None:
     """np.add.at of per-cell blocks over full (cells, a, b) index tables."""
     shape = (row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1])
@@ -96,7 +101,7 @@ def add_at_assembly(spec, mesh, p: int, flavor: str):
         if np.any(coef["r"] != 0):
             ke = ke + h * integrals("r", phi, phi)
         fe = h * np.einsum("cq,qi->ci", quad.weights[None, :] * coef["f"], basis_table(p, True, n_quad, 0))
-        gdof = _cell_dofs(p, t)
+        gdof = cell_dofs(p, t)
         mat = BandedMatrix(m, p, p, dtype=dtype)
         _scatter(mat, gdof, gdof, ke)
         rhs = np.zeros(m, dtype=dtype)
@@ -115,7 +120,7 @@ def add_at_assembly(spec, mesh, p: int, flavor: str):
         ce = -(h * integrals("D_x", psi, phi) + integrals("D", psi, dphi))
         he = h * np.einsum("cq,qe->ce", quad.weights[None, :] * coef["f"], basis_table(p - 1, False, n_quad, 0))
         pos_v, pos_u = mixed_v_positions(p, t), mixed_u_positions(p, t)
-        vcell = pos_v[_cell_dofs(p, t)]
+        vcell = pos_v[cell_dofs(p, t)]
         mat = BandedMatrix(total, 2 * p, 2 * p, dtype=dtype)
         _scatter(mat, vcell, vcell, me)
         _scatter(mat, vcell, pos_u, be)

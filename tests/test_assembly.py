@@ -19,7 +19,7 @@ from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
 from fem_errbal.prediction import brute_force_sweep, prediction_loop, solve_level
 from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
 
-from banded import add_at_assembly, from_dense, identity_rows, to_dense
+from banded import add_at_assembly, cell_dofs, from_dense, identity_rows, to_dense
 
 
 def _zero(x):
@@ -315,12 +315,35 @@ def test_assembly_matches_add_at_scatter_bit_for_bit(problem, form):
     flavor = form.partition("-")[0]
     assemble = assemble_standard if flavor == "standard" else assemble_mixed
     for p in range(1, 6):
-        for level in (1, 2, 5):
+        for level in (1, 2, 5, 13):  # level 13 loads its cells in two blocks
             mesh = build_mesh(level)
             system = assemble(spec, mesh, p)
             ab, rhs = add_at_assembly(spec, mesh, p, flavor)
             _assert_same_bits(system.matrix.ab, ab)
             _assert_same_bits(system.rhs, rhs)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("flavor", ["standard", "mixed"])
+def test_coefficient_extraction_matches_index_tables(flavor, dtype):
+    # extraction copies strided views of x; the gathers through the global
+    # index tables give the same bits, and both come out C-ordered
+    rng = np.random.default_rng(5)
+    for p in range(1, 6):
+        for level in (0, 3):
+            mesh = build_mesh(level)
+            t = mesh.cell_count
+            system = (assemble_standard if flavor == "standard" else assemble_mixed)(
+                catalog("bench-poisson"), mesh, p)
+            x = rng.standard_normal(system.n_unknowns).astype(dtype)
+            if flavor == "standard":
+                got, want = [extract_standard_coeffs(x, system)], [x[cell_dofs(p, t)]]
+            else:
+                got = list(extract_mixed_coeffs(x, system))
+                want = [x[mixed_v_positions(p, t)[cell_dofs(p, t)]], x[mixed_u_positions(p, t)]]
+            for a, b in zip(got, want):
+                _assert_same_bits(a, b)
+                assert a.flags.c_contiguous and a.flags.writeable
 
 
 @pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))

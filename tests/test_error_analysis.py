@@ -5,6 +5,7 @@ estimator-to-exact ratio oracle |1 - 2^-beta| is checked by running both
 estimators side by side on a problem with a closed-form solution."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from fem_errbal.error_analysis import (
     reconstruct,
     variable_available,
 )
-from fem_errbal.mesh_basis import build_mesh
+from fem_errbal.mesh_basis import QUADRATURE_BLOCK, build_mesh
 from fem_errbal.prediction import solve_level
-from fem_errbal.problem import catalog, eval_exact
+from fem_errbal.problem import VARIABLES, catalog, eval_exact
 from fem_errbal.solvers import lu_banded_solve
+
+import whole_mesh
 
 
 def _solve_standard(spec, ref, p):
@@ -276,3 +279,47 @@ class TestScaling:
         e_plain = error_exact(reconstruct(plain_solve, plain, "u"), spec).value
         e_scaled = error_exact(reconstruct(scaled_solve, scaled, "u"), spec, norm_u).value
         assert abs(e_scaled - e_plain / norm_u) <= 1e-3 * e_scaled
+
+
+class TestBlockedQuadrature:
+    """The quadratures walk the mesh in blocks of QUADRATURE_BLOCK cells and
+    must give the bits of the whole-mesh sums (tests/whole_mesh.py)."""
+
+    @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
+    @pytest.mark.parametrize("flavor", ["standard", "mixed"])
+    def test_matches_whole_mesh_bit_for_bit(self, name, flavor):
+        spec = catalog(name)
+        # the fine level has four blocks, the coarse one two
+        views = {}
+        for level in (13, 14):
+            system, report = solve_level(spec, flavor, 3, level)
+            views[level] = {var: reconstruct(report, system, var) for var in VARIABLES}
+        assert build_mesh(13).cell_count == 2 * QUADRATURE_BLOCK
+        for var in VARIABLES:
+            coarse, fine = views[13][var], views[14][var]
+            pairs = {
+                "l2_norm": (l2_norm(fine), whole_mesh.l2_norm(fine)),
+                "error_exact": (error_exact(fine, spec).value, whole_mesh.error_exact(fine, spec)),
+                "error_exact framed": (error_exact(fine, spec, 0.37).value,
+                                       whole_mesh.error_exact(fine, spec, 0.37)),
+                "error_refined": (error_refined(coarse, fine).value,
+                                  whole_mesh.error_refined(coarse, fine)),
+            }
+            for what, (got, want) in pairs.items():
+                assert got.hex() == want.hex(), (var, what)
+
+    def test_error_exact_transient_memory_stays_in_blocks(self):
+        # at 2**18 cells one whole-mesh (cells, n_quad) array takes 12 MiB; the
+        # blocked walk holds the (cells,) vector of sums and one block at a time
+        spec = catalog("bench-poisson")
+        system, report = solve_level(spec, "standard", 2, 18)
+        field = reconstruct(report, system, "u")
+        t, n_quad = field.mesh.cell_count, field.fem_degree + 4
+        whole_array = t * n_quad * 8
+        tracemalloc.start()
+        try:
+            error_exact(field, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_array / 2, peak

@@ -1,0 +1,43 @@
+"""Whole-mesh forms of the package's error quadratures, for bit-for-bit checks.
+
+Each builds its quadrature points, exact values and field values on every
+cell at once, the way the package computed them before it walked the mesh
+in blocks of cells, and adds the per-cell sums with one np.sum.
+"""
+
+import numpy as np
+
+from fem_errbal.mesh_basis import basis_table, gauss_legendre_rule
+from fem_errbal.problem import eval_exact
+
+
+def _values(field, n_quad: int, child=None) -> np.ndarray:
+    table = basis_table(field.basis.degree, field.basis.continuous, n_quad, field.deriv_order, child)
+    return (field.coeffs @ table.T) / field.mesh.h**field.deriv_order
+
+
+def _norm(diff: np.ndarray, n_quad: int, h: float) -> float:
+    return float(np.sqrt(h * np.sum(np.abs(diff) ** 2 @ gauss_legendre_rule(n_quad).weights)))
+
+
+def l2_norm(field) -> float:
+    n_quad = field.fem_degree + 4
+    return _norm(_values(field, n_quad), n_quad, field.mesh.h)
+
+
+def error_exact(field, spec, frame: float = 1.0) -> float:
+    n_quad = field.fem_degree + 4
+    rule = gauss_legendre_rule(n_quad)
+    t, h = field.mesh.cell_count, field.mesh.h
+    x_q = (np.arange(t)[:, None] + rule.points[None, :]) * h
+    exact = eval_exact(spec, field.var, x_q) / frame
+    return _norm(_values(field, n_quad) - exact, n_quad, h)
+
+
+def error_refined(coarse, fine) -> float:
+    n_quad = fine.fem_degree + 4
+    fine_vals = _values(fine, n_quad)
+    coarse_vals = np.empty_like(fine_vals)
+    coarse_vals[0::2] = _values(coarse, n_quad, child=0)
+    coarse_vals[1::2] = _values(coarse, n_quad, child=1)
+    return _norm(coarse_vals - fine_vals, n_quad, fine.mesh.h)
