@@ -27,12 +27,12 @@ import numpy as np
 from .calibration import SUITE_STREAK, sensitivity_suite
 from .error_analysis import DEFAULT_ALPHA_R, beta_R, beta_T, variable_available, write_curve_csv
 from .mesh_basis import MAX_DEGREE
-from .prediction import N_MAX, PredictionResult, brute_force_sweep, prediction_loop, solve_level
+from .prediction import (N_MAX, SCHEMES, PredictionResult, brute_force_sweep, prediction_loop,
+                         solve_level)
 from .problem import CATALOG_NAMES, VARIABLES, catalog
+from .solvers import SOLVERS
 
 _FLAVORS = ("standard", "mixed")
-_SCHEMES = ("auto", "none", "S", "M1", "M2")
-_SOLVERS = ("lu", "cg", "schur")
 _SUITES = ("solver", "magnitude", "boundary")
 
 
@@ -93,7 +93,10 @@ def _parse_degrees(text: str) -> Tuple[int, ...]:
         if not token:
             continue
         lo, dots, hi = token.partition("..")
-        out.extend(range(_parse_degree(lo), _parse_degree(hi if dots else lo) + 1))
+        first, last = _parse_degree(lo), _parse_degree(hi if dots else lo)
+        if last < first:
+            raise ConfigError(f"degree range {token!r} runs backwards")
+        out.extend(range(first, last + 1))
     if not out:
         raise ConfigError("the degree set is empty")
     return tuple(sorted(set(out)))
@@ -375,7 +378,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="subcommand", required=True)
     fem = dict(type=partial(_choice, name="--fem", allowed=_FLAVORS), default="standard",
                help="standard | mixed (default standard)")
-    scheme = dict(type=partial(_choice, name="--scheme", allowed=_SCHEMES), default="auto")
+    scheme = dict(type=partial(_choice, name="--scheme", allowed=("auto", *SCHEMES)),
+                  default="auto")
     variables = dict(dest="variables", type=_parse_variables, help="comma list from u,ux,uxx")
     streak = dict(type=_parse_streak, default=3)
     out_dir = dict(default=".", help="output directory (default .)")
@@ -389,7 +393,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         sp.add_argument("--p", dest="degrees", type=_parse_degrees, default=(2,),
                         help="degree set: '2', '1,3', or '1..5'")
         sp.add_argument("--var", **variables, default=("u",))
-        sp.add_argument("--solver", type=partial(_choice, name="--solver", allowed=_SOLVERS),
+        sp.add_argument("--solver", type=partial(_choice, name="--solver", allowed=SOLVERS),
                         default="lu", help="lu | cg | schur (default lu)")
         sp.add_argument("--tol-prm", type=_parse_tolerance, default=1e-10,
                         help="iterative solver tolerance")

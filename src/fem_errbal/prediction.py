@@ -58,6 +58,7 @@ from .solvers import SolveReport, solve_system
 
 C_S = 0.001  # relative change between adjacent levels at which a norm counts as settled
 N_MAX = 10**8  # DoF cap of both methods when the caller gives none
+SCHEMES = ("none", "S", "M1", "M2")  # the frames frame_variable knows; "auto" picks one
 
 
 def ref_min(p: int) -> int:
@@ -197,7 +198,7 @@ def frame_variable(flavor: str, scheme: str, var: str) -> Optional[str]:
         raise ValueError("scheme S applies to the standard formulation")
     if scheme in ("M1", "M2") and flavor != "mixed":
         raise ValueError(f"scheme {scheme} applies to the mixed formulation")
-    if scheme not in ("none", "S", "M1", "M2"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scaling scheme {scheme!r}")
     if scheme == "none":
         return None

@@ -11,10 +11,12 @@ identity rows of strongly imposed boundary values from assembly
 of the remaining rows: the standard operator is negative definite by
 construction, so the system is negated before iterating.  CG's products run
 through the band's DIA operator (`BandedMatrix.operator`), built once per
-solve, which gives the bits of `BandedMatrix.matvec`; the LU residual, a
-single product, stays on `matvec`.  Mixed saddle systems can alternatively
-be solved segregated: an outer CG on the Schur complement C M^{-1} B
-(C = B^T exactly) with a three-step matvec, then a mass solve recovers v.
+solve, which gives the bits of `BandedMatrix.matvec`.  Mixed saddle systems
+can alternatively be solved segregated: an outer CG on the Schur complement
+C M^{-1} B (C = B^T exactly) with a three-step matvec, then a mass solve
+recovers v.  Each solver returns its solution and iteration count;
+`solve_system` times it and measures ||F - A x|| / ||F|| through
+`BandedMatrix.matvec`, the same residual whichever solver ran.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .assembly import BandedMatrix, LinearSystem
+
+SOLVERS = ("lu", "cg", "schur")  # the names solve_system dispatches on
 
 
 class SingularMatrixError(RuntimeError):
@@ -88,27 +92,17 @@ class BandedLU:
         return np.ascontiguousarray(x[:, 0])
 
 
-def lu_banded_solve(system: LinearSystem) -> SolveReport:
-    start = time.perf_counter()
-    factor = BandedLU(system.matrix)
-    x = factor.solve(system.rhs)
-    elapsed = time.perf_counter() - start
-    rhs_norm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(system.rhs - system.matrix.matvec(x)) / rhs_norm if rhs_norm else 0.0
-    return SolveReport(x=x, method="lu", iterations=0, rel_residual=float(res), wall_time=elapsed)
-
-
 def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | None = None,
              stage: str = "cg"):
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - matvec(x)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return x, 0, 0.0
+        return x, 0
     rs = np.dot(r, r)
     threshold = tol * b_norm
     if np.sqrt(rs) <= threshold:  # the seed already solves it, e.g. no free unknowns
-        return x, 0, float(np.sqrt(rs) / b_norm)
+        return x, 0
     p = r.copy()
     step = np.empty_like(b)  # work vector for the alpha-scaled updates
     for k in range(1, max_iter + 1):
@@ -121,14 +115,14 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
         r -= np.multiply(alpha, ap, out=step)
         rs_new = np.dot(r, r)
         if np.sqrt(rs_new) <= threshold:
-            return x, k, float(np.sqrt(rs_new) / b_norm)
+            return x, k
         p *= rs_new / rs
         p += r  # p = r + beta p; the sum is the same either way round
         rs = rs_new
     raise NonConvergenceError(stage, max_iter, float(np.sqrt(rs) / b_norm), x)
 
 
-def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
+def cg_solve(system: LinearSystem, tol_prm: float) -> tuple[np.ndarray, int]:
     """Conjugate gradients on a real definite (possibly negated) system.
 
     A complex system is refused before iterating: its operator is complex
@@ -140,16 +134,14 @@ def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
     indefinite operator whose diagonal has one sign is not caught here: CG
     raises NonConvergenceError, naming the breakdown, when it meets it.
 
-    Every product, the final residual's too, goes through the band's DIA
-    operator (`BandedMatrix.operator`), built once per solve; a negative
-    definite one has its data negated in place.  It adds the diagonals in
+    Every product goes through the band's DIA operator
+    (`BandedMatrix.operator`), built once per solve; a negative definite one
+    has its data negated in place.  It adds the diagonals in
     `BandedMatrix.matvec`'s order and negation is exact, so CG takes the
-    same iterates as through sign times `matvec`, and ||sign F - sign A x||
-    is ||F - A x|| bit for bit.
+    same iterates as through sign times `matvec`.
     """
     if system.complex_valued:
         raise ValueError("CG needs a real system; use the lu solver for complex problems")
-    start = time.perf_counter()
     mat, rhs, constrained = system.matrix, system.rhs, system.constrained
     op = mat.operator()
     diagonal = np.delete(op.diagonal(), constrained)
@@ -162,16 +154,10 @@ def cg_solve(system: LinearSystem, tol_prm: float) -> SolveReport:
         raise ValueError("diagonal of the free rows has mixed signs; CG needs a definite operator")
     x0 = np.zeros(mat.n)
     x0[constrained] = rhs[constrained]
-    b = sign * rhs
-
-    x, iters, _ = _cg_core(lambda v: op @ v, b, tol_prm, 10 * mat.n, x0=x0)
-    elapsed = time.perf_counter() - start
-    rhs_norm = np.linalg.norm(rhs)
-    res = np.linalg.norm(b - op @ x) / rhs_norm if rhs_norm else 0.0
-    return SolveReport(x=x, method="cg", iterations=iters, rel_residual=float(res), wall_time=elapsed)
+    return _cg_core(lambda v: op @ v, sign * rhs, tol_prm, 10 * mat.n, x0=x0)
 
 
-def schur_solve(system: LinearSystem, outer_tol: float = 1e-10) -> SolveReport:
+def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarray, int]:
     """Segregated solve of the real mixed saddle system.
 
     Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
@@ -179,14 +165,8 @@ def schur_solve(system: LinearSystem, outer_tol: float = 1e-10) -> SolveReport:
     LU of M; the gradient unknowns follow from M V = G - B U.  C is the
     second-equation block taken from the system, equal to B^T exactly in
     the pure saddle form, so the operator is symmetric positive definite.
-
-    rel_residual is the outer CG's: ||S U - g|| / ||g|| on the Schur system
-    S U = g above, not ||F - A x|| / ||F|| on the monolithic system.  The
-    mass solves and the recovery of V add to the latter, which can be
-    several decades larger (bench-poisson mixed p=3, tol 1e-10: 6.9e-11
-    against 5.8e-8 at level 6, 5.5e-11 against 7.5e-7 at level 10).
+    tol_prm is the outer CG's stopping tolerance on the Schur system.
     """
-    start = time.perf_counter()
     blocks = system.blocks
     if blocks is None:
         raise ValueError("segregated solve needs the real mixed block system")
@@ -202,24 +182,32 @@ def schur_solve(system: LinearSystem, outer_tol: float = 1e-10) -> SolveReport:
     def s_matvec(w):
         return c_mat @ m_solve(b_mat @ w)
 
-    u, iters, res = _cg_core(s_matvec, rhs_outer, outer_tol, 10 * len(rhs_outer), stage="outer-cg")
+    u, iters = _cg_core(s_matvec, rhs_outer, tol_prm, 10 * len(rhs_outer), stage="outer-cg")
     v = m_solve(blocks.G - b_mat @ u)
 
     x = np.empty(system.n_unknowns)
     x[blocks.pos_v] = v
     x[blocks.pos_u] = u
-    elapsed = time.perf_counter() - start
-    return SolveReport(
-        x=x, method="schur", iterations=iters, rel_residual=float(res), wall_time=elapsed
-    )
+    return x, iters
 
 
 def solve_system(system: LinearSystem, solver: str = "lu", tol_prm: float = 1e-10) -> SolveReport:
-    """Dispatch to the named solver; drivers go through this single entry."""
+    """Solve with the named solver (one of SOLVERS); drivers go through this single entry.
+
+    wall_time covers the solver alone; rel_residual is ||F - A x|| / ||F||
+    on the whole system, through `BandedMatrix.matvec`, for every solver.
+    """
+    start = time.perf_counter()
     if solver == "lu":
-        return lu_banded_solve(system)
-    if solver == "cg":
-        return cg_solve(system, tol_prm)
-    if solver == "schur":
-        return schur_solve(system, outer_tol=tol_prm)
-    raise ValueError(f"unknown solver {solver!r}; expected lu, cg, or schur")
+        x, iterations = BandedLU(system.matrix).solve(system.rhs), 0
+    elif solver == "cg":
+        x, iterations = cg_solve(system, tol_prm)
+    elif solver == "schur":
+        x, iterations = schur_solve(system, tol_prm)
+    else:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {', '.join(SOLVERS)}")
+    elapsed = time.perf_counter() - start
+    rhs_norm = np.linalg.norm(system.rhs)
+    res = np.linalg.norm(system.rhs - system.matrix.matvec(x)) / rhs_norm if rhs_norm else 0.0
+    return SolveReport(x=x, method=solver, iterations=iterations, rel_residual=float(res),
+                       wall_time=elapsed)

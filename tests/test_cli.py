@@ -7,9 +7,11 @@ wall-clock values themselves are never asserted."""
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +59,16 @@ class TestOptionParsing:
         for bad in ("", "0", "a", "2..x", "21", "1..21", "25..30"):
             with pytest.raises(ConfigError):
                 _parse_degrees(bad)
+
+    @pytest.mark.parametrize("spec", ["2,5..1", "5..1"])
+    def test_reversed_degree_range_is_refused(self, spec, tmp_path, capsys):
+        # a reversed range is an error of its own, never an empty range that
+        # the other tokens hide or that reads as an empty degree set
+        code = main(["predict", "--problem", "bench-poisson", "--p", spec,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: degree range '5..1' runs backwards\n"
+        assert not list(tmp_path.iterdir())
 
     def test_variable_lists_are_canonically_ordered(self):
         assert _parse_variables("u,uxx") == ("u", "uxx")
@@ -506,11 +518,16 @@ class TestConsoleScript:
             assert name in proc.stdout
 
     def test_module_invocation(self):
+        # the child imports the package this process imported, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run(
             [sys.executable, "-m", "fem_errbal.cli", "catalog"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=env,
         )
         assert proc.returncode == 0
         assert "bench-poisson" in proc.stdout

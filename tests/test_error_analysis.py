@@ -32,19 +32,19 @@ from fem_errbal.error_analysis import (
 from fem_errbal.mesh_basis import QUADRATURE_BLOCK, build_mesh
 from fem_errbal.prediction import solve_level
 from fem_errbal.problem import VARIABLES, catalog, eval_exact
-from fem_errbal.solvers import lu_banded_solve
+from fem_errbal.solvers import solve_system
 
 import whole_mesh
 
 
 def _solve_standard(spec, ref, p):
     system = assemble_standard(spec, build_mesh(ref), p=p)
-    return lu_banded_solve(system), system
+    return solve_system(system), system
 
 
 def _solve_mixed(spec, ref, p):
     system = assemble_mixed(spec, build_mesh(ref), p=p)
-    return lu_banded_solve(system), system
+    return solve_system(system), system
 
 
 class TestReconstruct:

@@ -19,8 +19,6 @@ from fem_errbal.solvers import (
     NonConvergenceError,
     SingularMatrixError,
     _cg_core,
-    cg_solve,
-    lu_banded_solve,
     schur_solve,
     solve_system,
 )
@@ -92,7 +90,7 @@ class TestBandedLU:
     def test_solve_matches_dense_complex(self):
         spec = catalog("bench-helmholtz")
         system = assemble_mixed(spec, build_mesh(3), p=2)
-        report = lu_banded_solve(system)
+        report = solve_system(system)
         assert report.x.dtype == np.complex128
         dense = np.linalg.solve(to_dense(system.matrix), system.rhs)
         assert np.linalg.norm(report.x - dense) <= 1e-11 * np.linalg.norm(dense)
@@ -115,7 +113,7 @@ class TestBandedLU:
         assembled = assemble(catalog(name), build_mesh(4), 3)
         assert scaled.matrix.ab.tobytes() == assembled.matrix.ab.tobytes()
         ab, rhs = scaled.matrix.ab.copy(), scaled.rhs.copy()
-        lu_banded_solve(scaled)
+        solve_system(scaled)
         assert scaled.matrix.ab.tobytes() == ab.tobytes()
         assert scaled.rhs.tobytes() == rhs.tobytes()
 
@@ -125,8 +123,8 @@ class TestConjugateGradients:
         # the standard operator is negative definite, so CG must negate it
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(5), p=2)
-        direct = lu_banded_solve(system)
-        report = cg_solve(system, tol_prm=1e-13)
+        direct = solve_system(system)
+        report = solve_system(system, "cg", tol_prm=1e-13)
         assert report.method == "cg"
         assert report.iterations > 0
         rel = np.linalg.norm(report.x - direct.x) / np.linalg.norm(direct.x)
@@ -135,15 +133,15 @@ class TestConjugateGradients:
     def test_constrained_rows_pinned_bit_exact(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(4), p=3)
-        report = cg_solve(system, tol_prm=1e-10)
+        report = solve_system(system, "cg", tol_prm=1e-10)
         assert report.x[0] == system.rhs[0]
         assert report.x[-1] == system.rhs[-1]
 
     def test_deterministic(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(4), p=2)
-        x1 = cg_solve(system, tol_prm=1e-12).x
-        x2 = cg_solve(system, tol_prm=1e-12).x
+        x1 = solve_system(system, "cg", tol_prm=1e-12).x
+        x2 = solve_system(system, "cg", tol_prm=1e-12).x
         assert np.array_equal(x1, x2)
 
     def test_positive_definite_runs_unflipped(self):
@@ -153,7 +151,7 @@ class TestConjugateGradients:
         base = assemble_standard(catalog("bench-poisson"), build_mesh(2), p=1)
         system = dataclasses.replace(base, matrix=from_dense(a, 1, 1), rhs=np.ones(n),
                                      constrained=np.array([], dtype=np.int64))
-        report = cg_solve(system, tol_prm=1e-13)
+        report = solve_system(system, "cg", tol_prm=1e-13)
         dense = np.linalg.solve(a, np.ones(n))
         assert np.linalg.norm(report.x - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -161,20 +159,20 @@ class TestConjugateGradients:
         # a complex symmetric operator is not Hermitian, so CG does not apply
         system = assemble_standard(catalog("bench-helmholtz"), build_mesh(3), p=2)
         with pytest.raises(ValueError, match="CG needs a real system"):
-            cg_solve(system, tol_prm=1e-10)
+            solve_system(system, "cg", tol_prm=1e-10)
 
     def test_probe_rejects_saddle(self):
         spec = catalog("case5", coefficient=1.0)
         system = assemble_mixed(spec, build_mesh(3), p=2)
         with pytest.raises(ValueError, match="mixed signs"):
-            cg_solve(system, tol_prm=1e-10)
+            solve_system(system, "cg", tol_prm=1e-10)
 
     def test_no_free_unknowns_returns_the_boundary_values(self):
         # one linear cell with both ends Dirichlet: every row is an identity
         system = assemble_standard(catalog("bench-poisson"), build_mesh(0), p=1)
-        report = cg_solve(system, tol_prm=1e-10)
+        report = solve_system(system, "cg", tol_prm=1e-10)
         assert report.iterations == 0
-        assert np.array_equal(report.x, lu_banded_solve(system).x)
+        assert np.array_equal(report.x, solve_system(system).x)
 
     def test_nonconvergence_carries_state(self):
         spec = catalog("bench-poisson")
@@ -208,7 +206,7 @@ class TestConjugateGradients:
         x0 = np.zeros(system.n_unknowns)
         x0[system.constrained] = system.rhs[system.constrained]
         mat, rhs = system.matrix, system.rhs
-        x, iters, _ = _cg_core(lambda v: -mat.matvec(v), -rhs, tol, 10 * mat.n, x0=x0)
+        x, iters = _cg_core(lambda v: -mat.matvec(v), -rhs, tol, 10 * mat.n, x0=x0)
         return x, iters, np.linalg.norm(rhs - mat.matvec(x)) / np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("name,coefficient", [
@@ -218,7 +216,7 @@ class TestConjugateGradients:
         spec = catalog(name) if coefficient is None else catalog(name, coefficient=coefficient)
         for p in range(1, 5):
             system = assemble_standard(spec, build_mesh(5), p)
-            report = cg_solve(system, tol_prm=1e-10)
+            report = solve_system(system, "cg", tol_prm=1e-10)
             x, iters, res = self._through_matvec(system, 1e-10)
             assert report.x.tobytes() == x.tobytes()
             assert report.iterations == iters
@@ -228,7 +226,7 @@ class TestConjugateGradients:
     def test_iteration_counts_pinned(self, level, iterations):
         # bench-poisson standard p=2 at tol 1e-10, as the iterative benchmark runs it
         system = assemble_standard(catalog("bench-poisson"), build_mesh(level), 2)
-        report = cg_solve(system, tol_prm=1e-10)
+        report = solve_system(system, "cg", tol_prm=1e-10)
         assert report.iterations == iterations
         x, _, _ = self._through_matvec(system, 1e-10)
         assert report.x.tobytes() == x.tobytes()
@@ -238,8 +236,8 @@ class TestSchur:
     def test_matches_monolithic_dirichlet_ends(self):
         spec = catalog("case5", coefficient=1.0)
         system = assemble_mixed(spec, build_mesh(4), p=2)
-        direct = lu_banded_solve(system)
-        seg = schur_solve(system, outer_tol=1e-13)
+        direct = solve_system(system)
+        seg = solve_system(system, "schur", tol_prm=1e-13)
         assert seg.method == "schur"
         assert seg.iterations > 0
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
@@ -254,8 +252,8 @@ class TestSchur:
         )
         system = assemble_mixed(spec, build_mesh(4), p=3)
         assert system.blocks is not None and system.blocks.pure_saddle
-        direct = lu_banded_solve(system)
-        seg = schur_solve(system, outer_tol=1e-13)
+        direct = solve_system(system)
+        seg = solve_system(system, "schur", tol_prm=1e-13)
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
         assert rel <= 1e-9
 
@@ -264,7 +262,7 @@ class TestSchur:
         # blocks stay a pure saddle
         system, direct = solve_level(catalog("bench-poisson"), "mixed", 3, 4, 3.7)
         assert system.blocks.pure_saddle
-        seg = schur_solve(system, outer_tol=1e-13)
+        seg = solve_system(system, "schur", tol_prm=1e-13)
         rel = np.linalg.norm(seg.x - direct.x) / np.linalg.norm(direct.x)
         assert rel <= 1e-9
 
@@ -272,7 +270,7 @@ class TestSchur:
     def test_iteration_counts_pinned(self, level, iterations):
         # bench-poisson mixed p=3 at tol 1e-10, as the iterative benchmark runs it
         system = assemble_mixed(catalog("bench-poisson"), build_mesh(level), 3)
-        assert schur_solve(system, outer_tol=1e-10).iterations == iterations
+        assert solve_system(system, "schur", tol_prm=1e-10).iterations == iterations
 
     def test_requires_pure_saddle(self):
         spec = catalog("bench-diffusion")
@@ -287,6 +285,25 @@ class TestSchur:
         complex_mixed = assemble_mixed(catalog("bench-helmholtz"), build_mesh(3), p=2)
         with pytest.raises(ValueError, match="mixed block"):
             schur_solve(complex_mixed)
+
+
+@pytest.mark.parametrize(("name", "flavor", "p", "level", "solver"), [
+    ("bench-poisson", "standard", 2, 6, "lu"),
+    ("bench-helmholtz", "mixed", 2, 6, "lu"),
+    ("bench-poisson", "standard", 2, 6, "cg"),
+    ("bench-poisson", "mixed", 3, 6, "schur"),
+    ("bench-poisson", "mixed", 3, 10, "schur"),
+])
+def test_report_carries_the_whole_system_residual(name, flavor, p, level, solver):
+    # every solver reports ||F - A x|| / ||F|| of the system it was given,
+    # Schur's too, not its outer CG's residual on the Schur system
+    assemble = assemble_standard if flavor == "standard" else assemble_mixed
+    system = assemble(catalog(name), build_mesh(level), p)
+    report = solve_system(system, solver, tol_prm=1e-10)
+    assert report.method == solver
+    rhs = system.rhs
+    assert report.rel_residual == (np.linalg.norm(rhs - system.matrix.matvec(report.x))
+                                   / np.linalg.norm(rhs))
 
 
 def test_dispatch():
