@@ -20,24 +20,26 @@ Weak statements, with n the outward normal and (.,.) the L2 pairing:
              Neumann data enters the v-space strongly (v = -h), Dirichlet data
              only through the first equation's right-hand side.
 
-The mixed unknowns are interleaved cell by cell so the monolithic matrix stays
-banded; the segregated solver's block (M, B, C, ...) view is sliced from the
-band's sparse form on each access, so there is one copy of the system.
+One table, `_layout`, gives each formulation's stride and fields, with each
+field's basis and the offsets of its unknowns in a cell: cell c's unknown i
+sits at stride * c + offset i, and the mixed v and u interleave so the band
+stays narrow.  Each system keeps its layout (`LinearSystem.layout`).  The
+block (M, B, C, ...) view is sliced from the band's sparse form on each
+access, so there is one copy of the system.
 
 Assembly never scales the matrix or the right-hand side; the frame that
 errors are measured in belongs to the prediction module.
 
-Cell blocks go into the band by strided slices: cell c's unknowns sit at a
-fixed stride times c plus a per-cell offset, so one slice-add per local pair
-(i, j) covers every cell.  Within a slice the cells hit distinct slots, and a
-slot gets at most two addends (the diagonal of a shared vertex), so the sums
-do not depend on the order of the adds.
+Cell blocks go into the band by strided slices, one slice-add per local pair
+(i, j) covering every cell.  Within a slice the cells hit distinct slots, and
+a slot gets at most two addends (the diagonal of a shared vertex), so the
+sums do not depend on the order of the adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,32 +112,63 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
 
 # --- degree-of-freedom layouts -------------------------------------------------
 
-def _add_cell_blocks(mat: BandedMatrix, values: np.ndarray, rows, cols, stride: int, t: int) -> None:
-    """Add values[..., i, j] at (stride*c + rows[i], stride*c + cols[j]) for cells c < t.
+class FieldSpace(NamedTuple):
+    """One unknown field: the basis it is expanded in and its unknowns' offsets in a cell."""
 
-    values is one (a, b) block shared by all cells or a (t, a, b) stack.
-    """
-    r0 = mat.kl + mat.ku
-    for i, ri in enumerate(rows):
-        for j, cj in enumerate(cols):
-            mat.ab[r0 + ri - cj, cj : cj + stride * t : stride] += values[..., i, j]
+    basis: tuple[int, bool]  # (degree, continuous)
+    offsets: tuple[int, ...]
 
 
-def mixed_v_positions(p: int, t: int) -> np.ndarray:
-    """Monolithic position of each continuous v unknown (block index 0..p*t)."""
-    pos = np.empty(p * t + 1, dtype=np.int64)
-    pos[0] = 0
-    k = np.arange(1, p * t + 1)
-    c = (k - 1) // p
-    pos[k] = 2 * p * c + p + (k - c * p)
-    return pos
+class DofLayout(NamedTuple):
+    """Cell c's unknown i of a field sits at stride * c + offsets[i]."""
 
-def mixed_u_positions(p: int, t: int) -> np.ndarray:
-    """Monolithic position of each discontinuous u unknown, shape (t, p)."""
-    c = np.arange(t)[:, None]
-    e = np.arange(p)[None, :]
-    return 2 * p * c + 1 + e
+    stride: int
+    cells: int
+    fields: dict[str, FieldSpace]
 
+    def end(self, side: str) -> int:
+        return 0 if side == "left" else self.stride * self.cells
+
+    def slots(self, offset: int) -> slice:
+        """The unknown at this offset in every cell."""
+        return slice(offset, offset + self.stride * self.cells, self.stride)
+
+    def empty_system(self, dtype) -> tuple[BandedMatrix, np.ndarray]:
+        """Zero band and right-hand side; a cell couples unknowns at most stride apart."""
+        n = self.stride * self.cells + 1
+        return BandedMatrix(n, self.stride, self.stride, dtype=dtype), np.zeros(n, dtype=dtype)
+
+    def positions(self, name: str) -> np.ndarray:
+        """Position of each of the field's unknowns, numbered cell by cell."""
+        field = self.fields[name]
+        pos = self.stride * np.arange(self.cells)[:, None] + np.array(field.offsets)
+        # a continuous field's first unknown in a cell is the last one of the cell before
+        return np.concatenate(([0], pos[:, 1:].ravel())) if field.basis[1] else pos.ravel()
+
+    def add_blocks(self, mat: BandedMatrix, values: np.ndarray, rows: FieldSpace,
+                   cols: FieldSpace) -> None:
+        """Add values[..., i, j] at every cell's (rows' i-th, cols' j-th) unknown pair.
+
+        values is one (a, b) block shared by all cells or a (cells, a, b) stack.
+        """
+        r0, last = mat.kl + mat.ku, self.stride * self.cells
+        for i, ri in enumerate(rows.offsets):
+            for j, cj in enumerate(cols.offsets):
+                mat.ab[r0 + ri - cj, cj : cj + last : self.stride] += values[..., i, j]
+
+    def add_loads(self, rhs: np.ndarray, values: np.ndarray, field: FieldSpace) -> None:
+        """Put values[c, i] at cell c's i-th unknown of the field; shared vertices sum."""
+        for i, o in enumerate(field.offsets):
+            s = self.slots(o)
+            rhs[s] = rhs[s] + values[:, i] if field.basis[1] else values[:, i]
+
+
+def _layout(flavor: str, p: int, cells: int) -> DofLayout:
+    """Each formulation's fields and stride, the one statement of the interleaving."""
+    if flavor == "standard":
+        return DofLayout(p, cells, {"u": FieldSpace((p, True), tuple(range(p + 1)))})
+    return DofLayout(2 * p, cells, {"v": FieldSpace((p, True), (0, *range(p + 1, 2 * p + 1))),
+                                    "u": FieldSpace((p - 1, False), tuple(range(1, p + 1)))})
 
 
 @dataclass
@@ -165,6 +198,7 @@ class LinearSystem:
     flavor: str  # 'standard' | 'mixed'
     p: int
     mesh: Mesh
+    layout: DofLayout  # where each field's unknowns sit, from `_layout`
 
     @property
     def complex_valued(self) -> bool:
@@ -179,14 +213,13 @@ class LinearSystem:
         """Block view of a real mixed system, sliced from the band; None otherwise."""
         if self.flavor != "mixed" or self.complex_valued:
             return None
-        p, t = self.p, self.mesh.cell_count
-        pos_v, pos_u = mixed_v_positions(p, t), mixed_u_positions(p, t).ravel()
+        pos_v, pos_u = self.layout.positions("v"), self.layout.positions("u")
         a = self.matrix.operator().tocsr()  # drops the band's zeros
         a_v, a_u = a[pos_v], a[pos_u]
         b_block, c_block = a_v[:, pos_u], a_u[:, pos_v]
         m_dia = a_v[:, pos_v].todia()
-        m_block = BandedMatrix(pos_v.size, p, p)
-        m_block.ab[2 * p - m_dia.offsets] = m_dia.data
+        m_block = BandedMatrix(pos_v.size, self.p, self.p)  # v couples within one cell
+        m_block.ab[m_block.kl + m_block.ku - m_dia.offsets] = m_dia.data
         pure_saddle = a_u[:, pos_u].nnz == 0 and (c_block != b_block.T).nnz == 0
         return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
                             H=self.rhs[pos_u], pure_saddle=pure_saddle, pos_v=pos_v, pos_u=pos_u)
@@ -209,12 +242,13 @@ def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple
 
 
 def _cell_loads(spec: ProblemSpec, mesh: Mesh, x_q: np.ndarray, weights: np.ndarray,
-                table: np.ndarray, dtype) -> np.ndarray:
-    """Integrals of f times each basis function of `table` over every cell, shape (cells, nb).
+                field: FieldSpace, dtype) -> np.ndarray:
+    """Integrals of f times each basis function of the field over every cell, shape (cells, nb).
 
     f is evaluated and weighted one block of cells at a time
     (`Mesh.cell_blocks`); each cell's sum rounds as on the whole mesh.
     """
+    table = basis_table(*field.basis, weights.size, 0)
     fe = np.empty((mesh.cell_count, table.shape[1]), dtype=dtype)
     for cells in mesh.cell_blocks():
         fv = np.asarray(spec.f(x_q[cells]), dtype=dtype)
@@ -229,9 +263,10 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     n_quad = p + 2
     quad = gauss_legendre_rule(n_quad)
     t, h = mesh.cell_count, mesh.h
-    m = p * t + 1
     dtype = complex if spec.complex_valued else float
-    phi, dphi = (p, True, 0), (p, True, 1)
+    layout = _layout("standard", p, t)
+    u = layout.fields["u"]
+    phi, dphi = (*u.basis, 0), (*u.basis, 1)
     x_q = mesh.quadrature_points(quad.points)
 
     dv = np.asarray(spec.D(x_q), dtype=dtype)
@@ -239,18 +274,15 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     if np.any(rv != 0):
         ke = ke + h * _cell_integrals(rv, quad.weights, n_quad, phi, phi)
-    fe = _cell_loads(spec, mesh, x_q, quad.weights, basis_table(p, True, n_quad, 0), dtype)
+    fe = _cell_loads(spec, mesh, x_q, quad.weights, u, dtype)
 
-    mat = BandedMatrix(m, p, p, dtype=dtype)
-    local = range(p + 1)
-    _add_cell_blocks(mat, ke, local, local, p, t)
-    rhs = np.zeros(m, dtype=dtype)
-    for i in local:
-        rhs[i : i + p * t : p] += fe[:, i]
+    mat, rhs = layout.empty_system(dtype)
+    layout.add_blocks(mat, ke, u, u)
+    layout.add_loads(rhs, fe, u)
 
     # boundary terms; basis values at the endpoints are exact Kronecker deltas.
     # Neumann loads go in before any Dirichlet elimination touches the rhs
-    ends = [(bc, 0 if bc.side == "left" else m - 1) for bc in (spec.bc_left, spec.bc_right)]
+    ends = [(bc, layout.end(bc.side)) for bc in (spec.bc_left, spec.bc_right)]
     for bc, bdof in ends:
         if bc.kind == "neumann":
             d_here = np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0]
@@ -262,20 +294,19 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
             constrained.append(bdof)
 
     return LinearSystem(matrix=mat, rhs=rhs, constrained=np.array(constrained, dtype=np.int64),
-                        flavor="standard", p=p, mesh=mesh)
+                        flavor="standard", p=p, mesh=mesh, layout=layout)
 
 
 # --- mixed formulation ---------------------------------------------------------
 
 def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
-    # continuous space carrying v, discontinuous space carrying u, as
-    # (degree, continuous, derivative order)
-    phi, dphi, psi = (p, True, 0), (p, True, 1), (p - 1, False, 0)
     n_quad = p + 2
     quad = gauss_legendre_rule(n_quad)
     t, h = mesh.cell_count, mesh.h
-    total = 2 * p * t + 1
     dtype = complex if spec.complex_valued else float
+    layout = _layout("mixed", p, t)
+    v, u = layout.fields["v"], layout.fields["u"]
+    phi, dphi, psi = (*v.basis, 0), (*v.basis, 1), (*u.basis, 0)
     x_q = mesh.quadrature_points(quad.points)
 
     me = h * reference_integral(phi, phi)
@@ -288,26 +319,21 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
         + _cell_integrals(dv, quad.weights, n_quad, psi, dphi)
     )
     rv = np.asarray(spec.r(x_q), dtype=dtype)
-    he = _cell_loads(spec, mesh, x_q, quad.weights, basis_table(p - 1, False, n_quad, 0), dtype)
+    he = _cell_loads(spec, mesh, x_q, quad.weights, u, dtype)
 
-    # cell c holds v at 2pc + v_off and u at 2pc + u_off
-    v_off = [0, *range(p + 1, 2 * p + 1)]
-    u_off = range(1, p + 1)
-    mat = BandedMatrix(total, 2 * p, 2 * p, dtype=dtype)
-    _add_cell_blocks(mat, me, v_off, v_off, 2 * p, t)
-    _add_cell_blocks(mat, be, v_off, u_off, 2 * p, t)
-    _add_cell_blocks(mat, ce, u_off, v_off, 2 * p, t)
+    mat, rhs = layout.empty_system(dtype)
+    layout.add_blocks(mat, me, v, v)
+    layout.add_blocks(mat, be, v, u)
+    layout.add_blocks(mat, ce, u, v)
     if np.any(rv != 0):
-        re = h * _cell_integrals(rv, quad.weights, n_quad, psi, psi)
-        _add_cell_blocks(mat, re, u_off, u_off, 2 * p, t)
-    rhs = np.zeros(total, dtype=dtype)
-    rhs[mixed_u_positions(p, t)] = he
+        layout.add_blocks(mat, h * _cell_integrals(rv, quad.weights, n_quad, psi, psi), u, u)
+    layout.add_loads(rhs, he, u)
 
     # Dirichlet data is natural here: G_k = -(w_k, g n) on the Dirichlet ends;
     # Neumann data is essential on the v space: v = -h on that end
     constrained = []
     for bc in (spec.bc_left, spec.bc_right):
-        v_pos = 0 if bc.side == "left" else total - 1
+        v_pos = layout.end(bc.side)
         if bc.kind == "dirichlet":
             rhs[v_pos] += -bc.value * bc.normal
         else:
@@ -315,33 +341,19 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
             constrained.append(v_pos)
 
     return LinearSystem(matrix=mat, rhs=rhs, constrained=np.array(constrained, dtype=np.int64),
-                        flavor="mixed", p=p, mesh=mesh)
+                        flavor="mixed", p=p, mesh=mesh, layout=layout)
 
 
 # --- coefficient extraction ----------------------------------------------------
 
-def extract_standard_coeffs(x: np.ndarray, system: LinearSystem) -> np.ndarray:
-    """Per-cell nodal coefficients of the standard solution, shape (t, p+1).
+def cell_coefficients(x: np.ndarray, system: LinearSystem, field: str) -> np.ndarray:
+    """Per-cell coefficients of one field ('u', or the mixed 'v') of a solution x.
 
-    Row c is x[pc : pc + p + 1], copied from strided views of x.
+    Shape (cells, local unknowns), C-ordered; column i is one strided copy of x.
     """
-    p, t = system.p, system.mesh.cell_count
-    coeffs = np.empty((t, p + 1), dtype=x.dtype)
-    coeffs[:, :p] = x[:-1].reshape(t, p)
-    coeffs[:, p] = x[p::p]
+    layout = system.layout
+    offsets = layout.fields[field].offsets
+    coeffs = np.empty((layout.cells, len(offsets)), dtype=x.dtype)
+    for i, o in enumerate(offsets):
+        coeffs[:, i] = x[layout.slots(o)]
     return coeffs
-
-
-def extract_mixed_coeffs(x: np.ndarray, system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (v, u) coefficients of the mixed solution: (t, p+1) and (t, p).
-
-    Cell c's unknowns are x[2pc : 2pc + 2p + 1], v at offsets 0 and p+1..2p
-    and u at 1..p (see `assemble_mixed`); both are copied from strided views.
-    """
-    p, t = system.p, system.mesh.cell_count
-    cell = x[:-1].reshape(t, 2 * p)
-    v = np.empty((t, p + 1), dtype=x.dtype)
-    v[:, 0] = cell[:, 0]
-    v[:, 1:p] = cell[:, p + 1 :]
-    v[:, p] = x[2 * p :: 2 * p]
-    return v, cell[:, 1 : p + 1].copy()

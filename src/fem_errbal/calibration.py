@@ -254,18 +254,26 @@ def sensitivity_suite(
     'boundary' compares the essential/essential benchmark against its
     essential/natural variant.  n_max and rise_streak override the suite's
     cap and stop rule.  With out_dir set, each configuration writes one CSV
-    and the run records its path.
+    and the run records its path.  An option the suite does not read must
+    keep its default, or the suite raises ValueError naming it.
     """
     if kind == "solver":
+        unread = {"case": case != 1, "flavor (--fem)": flavor != "standard",
+                  "scheme": scheme not in ("auto", "S")}
         used = tuple(variables) if variables is not None else ("u", "ux")
         configs = _solver_configs(tolerances, used)
         cap, streak = 20000, 4
     elif kind in ("magnitude", "boundary"):
+        unread = {"case": kind == "boundary" and case != 1,
+                  "tolerances (--tol-prm)": tuple(tolerances) != (1e-10, 1e-4)}
         used = tuple(variables) if variables is not None else ("u", "ux", "uxx")
         configs = _lu_configs(kind, case, flavor, scheme, used)
         cap, streak = _SWEEP_CAP[flavor], None
     else:
         raise ValueError(f"unknown suite kind {kind!r}")
+    ignored = [name for name, changed in unread.items() if changed]
+    if ignored:
+        raise ValueError(f"the {kind} suite does not read {', '.join(ignored)}")
     cap = n_max if n_max is not None else cap
     streak = rise_streak if rise_streak is not SUITE_STREAK else streak
     directory = None

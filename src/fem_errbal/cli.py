@@ -326,7 +326,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--suite is required; one of {', '.join(_SUITES)}")
     report = sensitivity_suite(
         args.suite,
-        out_dir=str(_out_dir(args)),
+        out_dir=args.out_dir,
         case=args.case,
         flavor=args.fem,
         scheme=args.scheme,

@@ -3,7 +3,9 @@
 Solutions come back as coefficient vectors; this module turns them into
 evaluable piecewise-polynomial views of u, u_x and u_xx, measures L2 errors
 against exact solutions or once-refined solves, and tracks error curves over
-refinement ladders and writes them as CSV.  For mixed systems the derivative
+refinement ladders and writes them as CSV.  A view copies the coefficients of
+the one field that hosts its variable (`assembly.cell_coefficients`) and takes
+that field's basis from `LinearSystem.layout`; for mixed systems the derivative
 fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  A system
 solved in a frame (its right-hand side divided by one positive number, see
 `prediction.solve_level`) yields unknowns divided by that number, and so do
@@ -20,11 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (
-    LinearSystem,
-    extract_mixed_coeffs,
-    extract_standard_coeffs,
-)
+from .assembly import LinearSystem, cell_coefficients
 from .mesh_basis import LagrangeBasis, Mesh, basis_table, build_mesh, gauss_legendre_rule
 from .problem import VARIABLES, ProblemSpec, eval_exact
 from .solvers import SolveReport
@@ -111,8 +109,7 @@ class FieldView:
         if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
             raise ValueError("evaluation points must lie in [0, 1]")
         t = self.mesh.cell_count
-        cell = np.minimum(np.floor(x * t).astype(np.int64), t - 1)
-        cell = np.maximum(cell, 0)
+        cell = np.clip(np.floor(x * t).astype(np.int64), 0, t - 1)
         xi = x * t - cell
         table = self.basis.eval(xi, self.deriv_order)
         vals = np.einsum("mi,mi->m", table.astype(self.coeffs.dtype), self.coeffs[cell])
@@ -135,30 +132,15 @@ def reconstruct(report: SolveReport, system: LinearSystem, var: str) -> FieldVie
     """Build the evaluator for one variable from a solve of the given system."""
     p = system.p
     if not variable_available(system.flavor, var, p):
-        raise ValueError(
-            f"uxx needs the per-cell polynomial degree >= 2; standard p={p} cannot host it"
-        )
-    if system.flavor == "standard":
-        coeffs = extract_standard_coeffs(report.x, system)
-        basis = LagrangeBasis(p)
-        order = _DERIV_ORDER[var]
-    else:
-        v_coeffs, u_coeffs = extract_mixed_coeffs(report.x, system)
-        if var == "u":
-            coeffs, basis, order = u_coeffs, LagrangeBasis(p - 1, continuous=False), 0
-        elif var == "ux":
-            coeffs, basis, order = -v_coeffs, LagrangeBasis(p), 0
-        else:
-            coeffs, basis, order = -v_coeffs, LagrangeBasis(p), 1
-    return FieldView(
-        var=var,
-        flavor=system.flavor,
-        mesh=system.mesh,
-        basis=basis,
-        coeffs=coeffs,
-        deriv_order=order,
-        fem_degree=p,
-    )
+        raise ValueError(f"uxx needs the per-cell polynomial degree >= 2; "
+                         f"standard p={p} cannot host it")
+    host = "v" if system.flavor == "mixed" and var != "u" else "u"
+    coeffs = cell_coefficients(report.x, system, host)
+    if host == "v":
+        np.negative(coeffs, out=coeffs)
+    return FieldView(var=var, flavor=system.flavor, mesh=system.mesh,
+                     basis=LagrangeBasis(*system.layout.fields[host].basis), coeffs=coeffs,
+                     deriv_order=_DERIV_ORDER[var] - (host == "v"), fem_degree=p)
 
 
 @dataclass
@@ -175,9 +157,6 @@ class ErrorCurve:
     records: List[ErrorRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        self._check_monotone()
-
-    def _check_monotone(self):
         ns = [r.n_dof for r in self.records]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("records must have strictly increasing DoF counts")

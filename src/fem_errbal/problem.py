@@ -170,8 +170,8 @@ def _bench_helmholtz() -> ProblemSpec:
 
 def _case(index: int, c: float) -> ProblemSpec:
     """Poisson-type family (D = 1, r = 0) with a tunable magnitude coefficient."""
-    if c <= 0:
-        raise ValueError(f"case{index} coefficient must be positive, got {c}")
+    if not 0 < c < np.inf:
+        raise ValueError(f"case{index} coefficient must be positive and finite, got {c}")
     w = _TWO_PI * c
     if index == 1:
         u = lambda x: np.sin(w * np.asarray(x)) / w**2
@@ -278,9 +278,9 @@ def _check_consistency(spec: ProblemSpec, n_points: int = 20) -> None:
         - spec.f(x)
     )
     scale = max(np.max(np.abs(spec.f(x))), np.max(np.abs(spec.exact_u(x))), 1e-30)
-    if np.max(np.abs(residual)) > 1e-8 * scale:
+    if not np.max(np.abs(residual)) <= 1e-8 * scale:  # a NaN fails too
         raise AssertionError(f"{spec.label}: exact solution does not satisfy the equation")
     for bc in (spec.bc_left, spec.bc_right):
         val = spec.exact_u(bc.location) if bc.kind == "dirichlet" else spec.exact_ux(bc.location)
-        if abs(complex(val) - complex(bc.value)) > 1e-12 * max(1.0, abs(complex(bc.value))):
+        if not abs(complex(val) - complex(bc.value)) <= 1e-12 * max(1.0, abs(complex(bc.value))):
             raise AssertionError(f"{spec.label}: boundary data inconsistent on {bc.side} side")

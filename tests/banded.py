@@ -8,13 +8,7 @@ keeps, so the package itself needs no dense or inspection API.
 
 import numpy as np
 
-from fem_errbal.assembly import (
-    BandedMatrix,
-    _cell_integrals,
-    eliminate_dirichlet,
-    mixed_u_positions,
-    mixed_v_positions,
-)
+from fem_errbal.assembly import BandedMatrix, _cell_integrals, eliminate_dirichlet
 from fem_errbal.mesh_basis import basis_table, gauss_legendre_rule, reference_integral
 
 
@@ -70,6 +64,23 @@ def reconstruct(factor) -> np.ndarray:
 def cell_dofs(p: int, t: int) -> np.ndarray:
     """Global indices of each cell's p+1 continuous unknowns, shape (t, p+1)."""
     return np.arange(t)[:, None] * p + np.arange(p + 1)[None, :]
+
+
+def mixed_v_positions(p: int, t: int) -> np.ndarray:
+    """Monolithic position of each continuous v unknown (block index 0..p*t)."""
+    pos = np.empty(p * t + 1, dtype=np.int64)
+    pos[0] = 0
+    k = np.arange(1, p * t + 1)
+    c = (k - 1) // p
+    pos[k] = 2 * p * c + p + (k - c * p)
+    return pos
+
+
+def mixed_u_positions(p: int, t: int) -> np.ndarray:
+    """Monolithic position of each discontinuous u unknown, shape (t, p)."""
+    c = np.arange(t)[:, None]
+    e = np.arange(p)[None, :]
+    return 2 * p * c + 1 + e
 
 
 def _scatter(mat: BandedMatrix, row_dofs: np.ndarray, col_dofs: np.ndarray, values: np.ndarray) -> None:

@@ -1,0 +1,31 @@
+"""Header of every test run naming the arithmetic it used.
+
+Round-off floors depend on the BLAS kernel that OpenBLAS picks at run time
+and on its thread count, so every test log records them next to the
+Python, numpy and scipy versions: in the header, and under -q, where pytest
+prints no header, in the closing summary.
+"""
+
+import os
+import platform
+
+import numpy as np
+import scipy
+
+from fem_errbal.calibration import blas_kernel
+
+
+def _arithmetic() -> str:
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"fem-errbal arithmetic: python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}, blas_kernel={blas_kernel()}, "
+            f"OPENBLAS_NUM_THREADS={threads}")
+
+
+def pytest_report_header(config):
+    return _arithmetic()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(_arithmetic())

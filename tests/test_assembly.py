@@ -8,18 +8,17 @@ from fem_errbal.assembly import (
     BandedMatrix,
     assemble_mixed,
     assemble_standard,
+    cell_coefficients,
     eliminate_dirichlet,
-    extract_mixed_coeffs,
-    extract_standard_coeffs,
-    mixed_u_positions,
-    mixed_v_positions,
 )
 from fem_errbal.calibration import poisson_neumann_variant
 from fem_errbal.mesh_basis import LagrangeBasis, build_mesh
 from fem_errbal.prediction import brute_force_sweep, prediction_loop, solve_level
-from fem_errbal.problem import BoundaryCondition, ProblemSpec, catalog
+from fem_errbal.error_analysis import host_dof_count, variable_available
+from fem_errbal.problem import VARIABLES, BoundaryCondition, ProblemSpec, catalog
 
-from banded import add_at_assembly, cell_dofs, from_dense, identity_rows, to_dense
+from banded import (add_at_assembly, cell_dofs, from_dense, identity_rows, mixed_u_positions,
+                    mixed_v_positions, to_dense)
 
 
 def _zero(x):
@@ -180,7 +179,7 @@ class TestStandardAssembly:
         for p, ref in ((1, 5), (3, 3), (5, 2)):
             system = assemble_standard(spec, build_mesh(ref), p)
             x = np.linalg.solve(to_dense(system.matrix), system.rhs)
-            coeffs = extract_standard_coeffs(x, system)
+            coeffs = cell_coefficients(x, system, "u")
             nodes = LagrangeBasis(p).nodes
             exact = (np.arange(system.mesh.cell_count)[:, None] + nodes[None, :]) * system.mesh.h
             assert np.abs(coeffs - exact).max() <= 1e-12
@@ -220,8 +219,10 @@ class TestMixedAssembly:
 
     def test_interleaved_positions(self):
         p, t = 2, 4
-        pos_v = mixed_v_positions(p, t)
-        pos_u = mixed_u_positions(p, t)
+        blocks = assemble_mixed(catalog("bench-poisson"), build_mesh(2), p).blocks
+        pos_v, pos_u = blocks.pos_v, blocks.pos_u
+        np.testing.assert_array_equal(pos_v, mixed_v_positions(p, t))
+        np.testing.assert_array_equal(pos_u, mixed_u_positions(p, t).ravel())
         combined = np.sort(np.concatenate([pos_v, pos_u.ravel()]))
         np.testing.assert_array_equal(combined, np.arange(2 * p * t + 1))
         assert pos_v[0] == 0
@@ -294,7 +295,7 @@ class TestMixedAssembly:
         for p in (1, 2, 4):
             system = assemble_mixed(spec, build_mesh(1), p)
             x = np.linalg.solve(to_dense(system.matrix), system.rhs)
-            v, u = extract_mixed_coeffs(x, system)
+            v, u = (cell_coefficients(x, system, field) for field in ("v", "u"))
             np.testing.assert_allclose(v, -1.0, atol=1e-13)
             psi_nodes = LagrangeBasis(p - 1, continuous=False).nodes
             exact_u = (np.arange(2)[:, None] + psi_nodes[None, :]) * 0.5
@@ -304,7 +305,7 @@ class TestMixedAssembly:
         # bench-diffusion has u_x(1) = 2 pi, so the last v unknown is -2 pi
         system = assemble_mixed(catalog("bench-diffusion"), build_mesh(3), 2)
         x = np.linalg.solve(to_dense(system.matrix), system.rhs)
-        v, _ = extract_mixed_coeffs(x, system)
+        v = cell_coefficients(x, system, "v")
         assert abs(v[-1, -1] + 2 * np.pi) < 1e-12
 
 
@@ -337,13 +338,31 @@ def test_coefficient_extraction_matches_index_tables(flavor, dtype):
                 catalog("bench-poisson"), mesh, p)
             x = rng.standard_normal(system.n_unknowns).astype(dtype)
             if flavor == "standard":
-                got, want = [extract_standard_coeffs(x, system)], [x[cell_dofs(p, t)]]
+                got, want = [cell_coefficients(x, system, "u")], [x[cell_dofs(p, t)]]
             else:
-                got = list(extract_mixed_coeffs(x, system))
+                got = [cell_coefficients(x, system, field) for field in ("v", "u")]
                 want = [x[mixed_v_positions(p, t)[cell_dofs(p, t)]], x[mixed_u_positions(p, t)]]
             for a, b in zip(got, want):
                 _assert_same_bits(a, b)
                 assert a.flags.c_contiguous and a.flags.writeable
+
+
+@pytest.mark.parametrize("flavor", ["standard", "mixed"])
+def test_layout_positions_count_the_host_space(flavor):
+    # the layout and the DoF convention agree: a variable's host field has
+    # host_dof_count distinct positions, and the fields tile the system
+    assemble = assemble_standard if flavor == "standard" else assemble_mixed
+    for p in range(1, 5):
+        for level in (0, 3):
+            system = assemble(catalog("bench-poisson"), build_mesh(level), p)
+            fields = system.layout.fields
+            pos = np.concatenate([system.layout.positions(name) for name in fields])
+            np.testing.assert_array_equal(np.sort(pos), np.arange(system.n_unknowns))
+            for var in VARIABLES:
+                if variable_available(flavor, var, p):
+                    host = "v" if flavor == "mixed" and var != "u" else "u"
+                    assert system.layout.positions(host).size == host_dof_count(
+                        flavor, var, p, system.mesh.cell_count, False)
 
 
 @pytest.mark.parametrize("problem", sorted(_SCATTER_PROBLEMS))

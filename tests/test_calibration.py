@@ -8,6 +8,7 @@ is under test; two medium-depth sweeps pin the floor exponents the round-off
 model predicts (slope near 2 for the standard flavor, near 1 for mixed)."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,31 @@ class TestMagnitudeSuite:
             # the exact solution lies in the trial space, so every error is
             # pure round-off regardless of the coefficient magnitude
             assert run.curve.locate_min().value < 1e-13
+
+
+@pytest.mark.parametrize("kind, option, message", [
+    ("solver", {"flavor": "mixed"}, "flavor (--fem)"),
+    ("solver", {"scheme": "M2"}, "scheme"),
+    ("solver", {"scheme": "none"}, "scheme"),
+    ("solver", {"case": 3}, "case"),
+    ("boundary", {"case": 4}, "case"),
+    ("boundary", {"tolerances": (1e-3,)}, "tolerances (--tol-prm)"),
+    ("magnitude", {"tolerances": (1e-10,)}, "tolerances (--tol-prm)"),
+])
+def test_an_option_the_suite_does_not_read_is_refused(tmp_path, kind, option, message):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"^the {kind} suite does not read {re.escape(message)}$"):
+        sensitivity_suite(kind, out_dir=str(out), variables=("u",), n_max=50, **option)
+    assert not out.exists()
+
+
+def test_the_options_a_suite_reads_keep_their_run():
+    # the solver suite runs under S, so naming S is no change; the defaults
+    # given explicitly are accepted by every suite
+    for kind, option in (("solver", {"scheme": "S"}), ("magnitude", {"case": 5}),
+                         ("boundary", {"tolerances": (1e-10, 1e-4)})):
+        report = sensitivity_suite(kind, variables=("u",), n_max=50, **option)
+        assert report.runs
 
 
 class TestBoundarySuite:

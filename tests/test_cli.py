@@ -341,6 +341,15 @@ class TestCalibrate:
         assert last["none"] >= 20000
         assert last["4"] < last["none"]
 
+    def test_an_option_the_suite_does_not_read_is_exit_two(self, tmp_path, capsys):
+        code = main(["calibrate", "--suite", "solver", "--fem", "mixed", "--scheme", "M2",
+                     "--case", "3", "--var", "u", "--n-max", "300",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the solver suite does not read case, flavor (--fem), scheme\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_suite_is_required_and_validated(self, tmp_path, capsys):
         assert main(["calibrate", "--out-dir", str(tmp_path)]) == 2
         assert "--suite is required" in capsys.readouterr().err
@@ -442,6 +451,22 @@ class TestExitCodes:
         code = main(["sweep", "--problem", "case1", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "predict", "validate"])
+    @pytest.mark.parametrize("coefficient, shown", [("nan", "nan"), ("inf", "inf"),
+                                                    ("1e400", "inf"), ("-inf", "-inf")])
+    def test_non_finite_coefficient_is_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                subcommand, coefficient, shown):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the coefficient was checked")
+
+        monkeypatch.setattr(prediction, "solve_level", no_solve)
+        code = main([subcommand, "--problem", "case1", f"--coefficient={coefficient}",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: case1 coefficient must be positive and finite, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_scheme_that_misfits_the_formulation_solves_nothing(self, tmp_path, capsys,
                                                                 monkeypatch):

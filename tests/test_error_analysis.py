@@ -10,11 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fem_errbal.assembly import (
-    assemble_mixed,
-    assemble_standard,
-    extract_mixed_coeffs,
-)
+from fem_errbal.assembly import assemble_mixed, assemble_standard, cell_coefficients
 from fem_errbal.error_analysis import (
     DEFAULT_ALPHA_R,
     ErrorCurve,
@@ -70,7 +66,7 @@ class TestReconstruct:
         spec = catalog("bench-poisson")
         report, system = _solve_mixed(spec, 3, 2)
         ux = reconstruct(report, system, "ux")
-        v_coeffs, _ = extract_mixed_coeffs(report.x, system)
+        v_coeffs = cell_coefficients(report.x, system, "v")
         v_view = dataclasses.replace(ux, coeffs=v_coeffs)
         x = np.random.default_rng(5).uniform(0, 1, 40)
         assert np.array_equal(ux(x), -v_view(x))

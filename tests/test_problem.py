@@ -38,6 +38,9 @@ def test_catalog_errors():
         catalog("bench-poisson", 2.0)
     with pytest.raises(ValueError, match="positive"):
         catalog("case1", -1.0)
+    for c in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"positive and finite, got {c}"):
+            catalog("case1", float(c))
 
 
 @pytest.mark.parametrize(
@@ -84,6 +87,9 @@ def test_consistency_checker_rejects_broken_spec():
     broken = replace(spec, f=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     with pytest.raises(AssertionError, match="equation"):
         _check_consistency(broken)
+    nan_valued = replace(spec, f=lambda x: np.full(np.shape(x), np.nan))
+    with pytest.raises(AssertionError, match="equation"):
+        _check_consistency(nan_valued)
 
 
 def test_boundary_values_match_exact():
