@@ -65,10 +65,10 @@ def _parse_cap(text: str) -> int:
     return value
 
 
-def _parse_tolerance(text: str) -> float:
-    value = _parse_float(text, "--tol-prm")
+def _parse_positive(text: str, name: str) -> float:
+    value = _parse_float(text, name)
     if not 0 < value < np.inf:
-        raise ConfigError(f"--tol-prm must be positive and finite, got {value:g}")
+        raise ConfigError(f"{name} must be positive and finite, got {value:g}")
     return value
 
 
@@ -115,7 +115,8 @@ def _parse_variables(text: str) -> Tuple[str, ...]:
 
 
 def _parse_tolerance_list(text: str) -> Tuple[float, ...]:
-    values = tuple(_parse_tolerance(t.strip()) for t in str(text).split(",") if t.strip())
+    values = tuple(_parse_positive(t.strip(), "--tol-prm") for t in str(text).split(",")
+                   if t.strip())
     if not values:
         raise ConfigError("--tol-prm expects at least one tolerance")
     return values
@@ -395,7 +396,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         sp.add_argument("--var", **variables, default=("u",))
         sp.add_argument("--solver", type=partial(_choice, name="--solver", allowed=SOLVERS),
                         default="lu", help="lu | cg | schur (default lu)")
-        sp.add_argument("--tol-prm", type=_parse_tolerance, default=1e-10,
+        sp.add_argument("--tol-prm", type=partial(_parse_positive, name="--tol-prm"),
+                        default=1e-10,
                         help="iterative solver tolerance")
         sp.add_argument("--scheme", **scheme, help="scaling: auto | none | S | M1 | M2")
         sp.add_argument("--n-max", type=_parse_cap, default=N_MAX, help="DoF cap")
@@ -408,7 +410,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
 
     sp = sub.add_parser("predict", help="predict attainable accuracy from coarse refinements")
     add_common(sp)
-    sp.add_argument("--tol", type=partial(_parse_float, name="--tol"),
+    sp.add_argument("--tol", type=partial(_parse_positive, name="--tol"),
                     help="target accuracy for the reachable verdict")
     sp.add_argument("--json", dest="json_path", help="JSON output path")
 
@@ -438,8 +440,26 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     return parser, sub.choices
 
 
+# float options, whose value may start with '-' without being a plain
+# negative number (-inf, -nan, -1e400), which argparse takes for an option
+_SIGNED_VALUE_OPTIONS = ("--coefficient", "--tol", "--tol-prm")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write '--option -value' as '--option=-value' for the float options,
+    so that such a value reaches the option's converter and its message."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and token[:1] == "-" and token[:2] != "--":
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):

@@ -14,9 +14,12 @@ through the band's DIA operator (`BandedMatrix.operator`), built once per
 solve, which gives the bits of `BandedMatrix.matvec`.  Mixed saddle systems
 can alternatively be solved segregated: an outer CG on the Schur complement
 C M^{-1} B (C = B^T exactly) with a three-step matvec, then a mass solve
-recovers v.  Each solver returns its solution and iteration count;
-`solve_system` times it and measures ||F - A x|| / ||F|| through
-`BandedMatrix.matvec`, the same residual whichever solver ran.
+recovers v.  Its mass solves use `CondensedMass`, static condensation of
+the continuous mass band: the cell interiors are eliminated per cell, all
+cells at once, and a tridiagonal LDL^T (LAPACK pttrf/pttrs) solves for the
+vertices, so no step calls BLAS.  Each solver returns its solution and
+iteration count; `solve_system` times it and measures ||F - A x|| / ||F||
+through `BandedMatrix.matvec`, the same residual whichever solver ran.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .assembly import BandedMatrix, LinearSystem
@@ -36,6 +40,10 @@ class SingularMatrixError(RuntimeError):
     def __init__(self, pivot: int):
         super().__init__(f"banded LU hit an exactly zero pivot at index {pivot}")
         self.pivot = pivot
+
+
+class NotPositiveDefiniteError(RuntimeError):
+    """A mass band that static condensation found not positive definite."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -90,6 +98,97 @@ class BandedLU:
         if info != 0:
             raise ValueError(f"band back-substitution failed with code {info}")
         return np.ascontiguousarray(x[:, 0])
+
+
+class CondensedMass:
+    """Solves with the continuous degree-p mass band by static condensation.
+
+    Cell c's p - 1 interior unknowns, pc + 1 .. pc + p - 1, couple only with
+    each other and with the cell's vertices pc and pc + p.  Set-up reads each
+    cell's blocks M_II, M_IV and M_VI from the band by strided slices, runs
+    Gauss-Jordan on the interior pivots of all cells at once, without
+    pivoting, as a positive definite band needs none, which gives
+    M_II^{-1}, M_II^{-1} M_IV and M_VI M_II^{-1}, and factors the tridiagonal
+    vertex complement T = M_VV - M_VI M_II^{-1} M_IV with dpttrf.  M_VV's
+    diagonal and off-diagonal are read from the band as assembled, so the
+    identity row of a strongly imposed end stays one.
+
+    A solve is M^{-1} b = F b + G T^{-1}(E b): one CSR product stacks
+    E b = b_V - M_VI M_II^{-1} b_I over F b = M_II^{-1} b_I (zero at the
+    vertices), dpttrs solves with T, and a second sparse product G puts
+    T^{-1}(E b) at the vertices and -M_II^{-1} M_IV T^{-1}(E b) inside the
+    cells.  No step calls BLAS.  A band with an interior pivot or a pivot of
+    T that is not positive raises NotPositiveDefiniteError.
+    """
+
+    def __init__(self, mat: BandedMatrix, p: int):
+        q, cells, r0 = p - 1, (mat.n - 1) // p, mat.kl + mat.ku
+        # rows and columns of every cell's block in the order interiors, left
+        # and right vertex, then an identity that becomes M_II^{-1}; the vertex
+        # pairs stay zero, as M_VV comes from the band as assembled
+        order = [*range(1, p), 0, p]
+        work = np.zeros((p + 1, 2 * p, cells))
+        for i, a in enumerate(order):
+            for j, b in enumerate(order):
+                if min(i, j) < q:
+                    work[i, j] = mat.ab[r0 + a - b, b : b + p * cells : p]
+        work[range(q), range(p + 1, 2 * p)] = 1.0
+        # Gauss-Jordan leaves [I, M_II^{-1} M_IV, M_II^{-1}] in the interior
+        # rows and [0, -M_VI M_II^{-1} M_IV, -M_VI M_II^{-1}] in the vertex rows
+        for k in range(q):
+            pivot = work[k, k].copy()
+            if not pivot.min() > 0:
+                raise NotPositiveDefiniteError(
+                    f"mass band: interior pivot {k} of a cell is not positive")
+            work[k, k:] /= pivot
+            factor = work[:, k].copy()
+            factor[k] = 0.0
+            work[:, k:] -= factor[:, None] * work[k, k:]
+        diag = mat.ab[r0, ::p].copy()
+        diag[:-1] += work[q, q]
+        diag[1:] += work[p, p]
+        d, e, info = lapack.dpttrf(diag, mat.ab[r0 + p, :-1:p] + work[p, q])
+        if info > 0:
+            raise NotPositiveDefiniteError(
+                f"mass band: pivot {info - 1} of the vertex complement is not positive")
+        self._d, self._e, self._vertices = d, e, cells + 1
+
+        # E's row v and G's column v hold vertex v, then the interiors of the
+        # cells on its two sides: the first vertex has none on its left, the
+        # last none on its right.  E's entries there are 1 and -M_VI M_II^{-1},
+        # G's are 1 and -M_II^{-1} M_IV, so G is the CSC matrix on E's pattern
+        around = np.ones((2, cells + 1, 2 * q + 1))
+        around[0, 1:, :q] = work[p, p + 1 :].T
+        around[0, :-1, q + 1 :] = work[q, p + 1 :].T
+        around[1, 1:, :q] = -work[:q, p].T
+        around[1, :-1, q + 1 :] = -work[:q, q].T
+        trim = slice(q, around[0].size - q)
+        # scipy keeps 32-bit indices when every column index and entry count fits
+        index = np.int32 if p * (mat.n + p) < 2**31 else np.int64
+        e_cols = (p * np.arange(cells + 1, dtype=index)[:, None]
+                  + np.arange(-q, q + 1, dtype=index)).ravel()[trim]
+        e_ptr = (2 * q + 1) * np.arange(cells + 2, dtype=index) - q
+        e_ptr[0], e_ptr[-1] = 0, e_ptr[-1] - q
+        # F's interior row pc + i holds row i of the cell's M_II^{-1}
+        f_data = work[:q, p + 1 :].transpose(2, 0, 1)
+        f_cols = np.repeat(p * np.arange(cells, dtype=index)[:, None]
+                           + np.arange(1, p, dtype=index), q, axis=0)
+        rows = np.arange(1, mat.n + 1, dtype=index)
+        f_ptr = e_ptr[-1] + q * (rows - (rows + q) // p)  # q per interior row above
+        self._ef = sp.csr_matrix((np.concatenate((around[0].ravel()[trim], f_data.ravel())),
+                                  np.concatenate((e_cols, f_cols.ravel())),
+                                  np.concatenate((e_ptr, f_ptr))),
+                                 shape=(cells + 1 + mat.n, mat.n))
+        self._g = sp.csc_matrix((around[1].ravel()[trim], e_cols, e_ptr), shape=(mat.n, cells + 1))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        eb_fb = self._ef @ b
+        t_inv, info = lapack.dpttrs(self._d, self._e, eb_fb[: self._vertices])
+        if info != 0:
+            raise ValueError(f"tridiagonal back-substitution failed with code {info}")
+        x = self._g @ t_inv
+        x += eb_fb[self._vertices :]
+        return x
 
 
 def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | None = None,
@@ -161,8 +260,9 @@ def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarra
     """Segregated solve of the real mixed saddle system.
 
     Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
-    matvec X = B W, M Y = X, Z = C Y, where the mass solves reuse one banded
-    LU of M; the gradient unknowns follow from M V = G - B U.  C is the
+    matvec X = B W, M Y = X, Z = C Y; the gradient unknowns follow from
+    M V = G - B U.  All three mass solves, the right-hand side's, every
+    outer iteration's and v's, reuse one `CondensedMass` of M.  C is the
     second-equation block taken from the system, equal to B^T exactly in
     the pure saddle form, so the operator is symmetric positive definite.
     tol_prm is the outer CG's stopping tolerance on the Schur system.
@@ -175,7 +275,7 @@ def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarra
             "segregated solve requires the pure saddle form (constant unit "
             "diffusion, no reaction term)"
         )
-    m_solve = BandedLU(blocks.M).solve
+    m_solve = CondensedMass(blocks.M, system.p).solve
     b_mat, c_mat = blocks.B, blocks.C
     rhs_outer = c_mat @ m_solve(blocks.G) - blocks.H
 

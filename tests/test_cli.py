@@ -468,6 +468,43 @@ class TestExitCodes:
             f"error: case1 coefficient must be positive and finite, got {shown}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("subcommand", ["sweep", "predict", "validate"])
+    @pytest.mark.parametrize("coefficient, shown", [("-inf", "-inf"), ("-1e400", "-inf"),
+                                                    ("-nan", "nan")])
+    def test_signed_coefficient_as_a_separate_argument_is_exit_two(
+            self, tmp_path, capsys, monkeypatch, subcommand, coefficient, shown):
+        # '--coefficient -inf' is not argparse's usage error: the value
+        # reaches the coefficient check as it does in the '=' form
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the coefficient was checked")
+
+        monkeypatch.setattr(prediction, "solve_level", no_solve)
+        code = main([subcommand, "--problem", "case1", "--coefficient", coefficient,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: case1 coefficient must be positive and finite, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, subcommand", [("--tol", "predict"), ("--tol-prm", "sweep"),
+                                                    ("--tol-prm", "predict")])
+    @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-1e400", "-inf"),
+                                              ("-nan", "nan"), ("-1e-9", "-1e-09")])
+    def test_signed_tolerance_as_a_separate_argument_is_exit_two(
+            self, tmp_path, capsys, option, subcommand, value, shown):
+        code = main([subcommand, "--problem", "bench-poisson", option, value,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} must be positive and finite, got {shown}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_option_without_its_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--problem", "bench-poisson", "--tol", "--p", "2"])
+        assert exc.value.code == 2
+        assert "argument --tol: expected one argument" in capsys.readouterr().err
+
     def test_scheme_that_misfits_the_formulation_solves_nothing(self, tmp_path, capsys,
                                                                 monkeypatch):
         def no_solve(*args, **kwargs):
