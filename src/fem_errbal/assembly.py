@@ -3,7 +3,8 @@
 Matrices live in LAPACK-compatible band storage, and this module alone
 indexes it: the solvers go through `BandedMatrix.matvec` for a single
 product, through `BandedMatrix.operator`, the one sparse form of the band,
-for CG's products and for the block view `LinearSystem.blocks`, and the
+for CG's products, and through `DofLayout.gather_blocks` for per-cell blocks
+(the block view `LinearSystem.blocks` and the condensed mass solve), and the
 banded LU hands the array to LAPACK as it is.  Each system records the rows
 that strong boundary elimination made identities
 (`LinearSystem.constrained`), so no solver has to find them in the band.
@@ -24,7 +25,7 @@ One table, `_layout`, gives each formulation's stride and fields, with each
 field's basis and the offsets of its unknowns in a cell: cell c's unknown i
 sits at stride * c + offset i, and the mixed v and u interleave so the band
 stays narrow.  Each system keeps its layout (`LinearSystem.layout`).  The
-block (M, B, C, ...) view is sliced from the band's sparse form on each
+block (M, B, C, ...) view is gathered from the band cell by cell on each
 access, so there is one copy of the system.
 
 Assembly never scales the matrix or the right-hand side; the frame that
@@ -156,6 +157,20 @@ class DofLayout(NamedTuple):
             for j, cj in enumerate(cols.offsets):
                 mat.ab[r0 + ri - cj, cj : cj + last : self.stride] += values[..., i, j]
 
+    def gather_blocks(self, mat: BandedMatrix, rows: FieldSpace, cols: FieldSpace) -> np.ndarray:
+        """Every cell's (rows' i-th, cols' j-th) band entries as a (cells, a, b) stack.
+
+        The mirror of `add_blocks`: a slot that two cells share (the diagonal
+        of a shared vertex) reads its assembled sum in both.  The stack is a
+        view of a C-ordered (a, b, cells) array, one strided copy per pair.
+        """
+        r0, last = mat.kl + mat.ku, self.stride * self.cells
+        out = np.empty((len(rows.offsets), len(cols.offsets), self.cells), dtype=mat.ab.dtype)
+        for i, ri in enumerate(rows.offsets):
+            for j, cj in enumerate(cols.offsets):
+                out[i, j] = mat.ab[r0 + ri - cj, cj : cj + last : self.stride]
+        return out.transpose(2, 0, 1)
+
     def add_loads(self, rhs: np.ndarray, values: np.ndarray, field: FieldSpace) -> None:
         """Put values[c, i] at cell c's i-th unknown of the field; shared vertices sum."""
         for i, o in enumerate(field.offsets):
@@ -210,17 +225,38 @@ class LinearSystem:
 
     @property
     def blocks(self) -> Optional[SaddleBlocks]:
-        """Block view of a real mixed system, sliced from the band; None otherwise."""
+        """Block view of a real mixed system, gathered from the band cell by cell; else None."""
         if self.flavor != "mixed" or self.complex_valued:
             return None
-        pos_v, pos_u = self.layout.positions("v"), self.layout.positions("u")
-        a = self.matrix.operator().tocsr()  # drops the band's zeros
-        a_v, a_u = a[pos_v], a[pos_u]
-        b_block, c_block = a_v[:, pos_u], a_u[:, pos_v]
-        m_dia = a_v[:, pos_v].todia()
-        m_block = BandedMatrix(pos_v.size, self.p, self.p)  # v couples within one cell
-        m_block.ab[m_block.kl + m_block.ku - m_dia.offsets] = m_dia.data
-        pure_saddle = a_u[:, pos_u].nnz == 0 and (c_block != b_block.T).nnz == 0
+        layout, p, mat = self.layout, self.p, self.matrix
+        v, u = layout.fields["v"], layout.fields["u"]
+        vv, vu, uv = (layout.gather_blocks(mat, a, b) for a, b in ((v, v), (v, u), (u, v)))
+        pure_saddle = (not layout.gather_blocks(mat, u, u).any()
+                       and np.array_equal(uv, vu.transpose(0, 2, 1)))
+        n_v, n_u = p * layout.cells + 1, p * layout.cells
+        m_block = BandedMatrix(n_v, p, p)  # v couples within one cell
+        r0 = m_block.kl + m_block.ku
+        for i in range(p + 1):
+            for j in range(p + 1):  # a shared vertex's diagonal gets its one value twice
+                m_block.ab[r0 + i - j, j : j + n_u : p] = vv[:, i, j]
+        # cell c's u unknowns are columns pc .. pc + p - 1 of B, its v unknowns
+        # columns pc .. pc + p of C.  The cells' rows of B in turn are B's rows,
+        # but for a shared vertex, whose row holds the left cell's entries, then
+        # the right cell's: each row's columns ascend
+        index = np.int32 if vu.size < 2**31 else np.int64
+        first = p * np.arange(layout.cells, dtype=index)[:, None, None]
+        b_cols = np.repeat(first + np.arange(p, dtype=index), p + 1, axis=1)
+        c_cols = np.repeat(first + np.arange(p + 1, dtype=index), p, axis=1)
+        rows = np.arange(n_v + 1, dtype=index)
+        b_ptr = p * (rows + (rows - 1) // p)  # p per row above, p more per shared vertex
+        b_ptr[0], b_ptr[-1] = 0, vu.size
+        c_ptr = (p + 1) * np.arange(n_u + 1, dtype=index)
+        b_block = sp.csr_matrix((vu.ravel(), b_cols.ravel(), b_ptr), shape=(n_v, n_u))
+        c_block = sp.csr_matrix((uv.ravel(), c_cols.ravel(), c_ptr), shape=(n_u, n_v))
+        # the band's zeros, such as those of an eliminated v row, are no entries
+        b_block.eliminate_zeros()
+        c_block.eliminate_zeros()
+        pos_v, pos_u = layout.positions("v"), layout.positions("u")
         return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
                             H=self.rhs[pos_u], pure_saddle=pure_saddle, pos_v=pos_v, pos_u=pos_u)
 

@@ -470,12 +470,12 @@ def main(argv=None) -> int:
             subparsers[args.subcommand].set_defaults(**entries)
             args = parser.parse_args(argv)
         return _DISPATCH[args.subcommand](args)
+    except (RuntimeError, np.linalg.LinAlgError) as err:  # LinAlgError is a ValueError
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

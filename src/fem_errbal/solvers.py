@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .assembly import BandedMatrix, LinearSystem
+from .assembly import BandedMatrix, DofLayout, FieldSpace, LinearSystem
 
 SOLVERS = ("lu", "cg", "schur")  # the names solve_system dispatches on
 
@@ -104,14 +104,15 @@ class CondensedMass:
     """Solves with the continuous degree-p mass band by static condensation.
 
     Cell c's p - 1 interior unknowns, pc + 1 .. pc + p - 1, couple only with
-    each other and with the cell's vertices pc and pc + p.  Set-up reads each
-    cell's blocks M_II, M_IV and M_VI from the band by strided slices, runs
-    Gauss-Jordan on the interior pivots of all cells at once, without
-    pivoting, as a positive definite band needs none, which gives
-    M_II^{-1}, M_II^{-1} M_IV and M_VI M_II^{-1}, and factors the tridiagonal
-    vertex complement T = M_VV - M_VI M_II^{-1} M_IV with dpttrf.  M_VV's
-    diagonal and off-diagonal are read from the band as assembled, so the
-    identity row of a strongly imposed end stays one.
+    each other and with the cell's vertices pc and pc + p.  Set-up gathers
+    each cell's blocks M_II, M_IV and M_VI from the band
+    (`DofLayout.gather_blocks`), runs Gauss-Jordan on the interior pivots of
+    all cells at once, without pivoting, as a positive definite band needs
+    none, which gives M_II^{-1}, M_II^{-1} M_IV and M_VI M_II^{-1}, and
+    factors the tridiagonal vertex complement T = M_VV - M_VI M_II^{-1} M_IV
+    with dpttrf.  M_VV's diagonal and off-diagonal are the gathered vertex
+    pairs, which read the band as assembled, so the identity row of a
+    strongly imposed end stays one.
 
     A solve is M^{-1} b = F b + G T^{-1}(E b): one CSR product stacks
     E b = b_V - M_VI M_II^{-1} b_I over F b = M_II^{-1} b_I (zero at the
@@ -122,16 +123,16 @@ class CondensedMass:
     """
 
     def __init__(self, mat: BandedMatrix, p: int):
-        q, cells, r0 = p - 1, (mat.n - 1) // p, mat.kl + mat.ku
-        # rows and columns of every cell's block in the order interiors, left
-        # and right vertex, then an identity that becomes M_II^{-1}; the vertex
-        # pairs stay zero, as M_VV comes from the band as assembled
-        order = [*range(1, p), 0, p]
+        q, cells = p - 1, (mat.n - 1) // p
+        # every cell's block, rows and columns in the order interiors, left and
+        # right vertex; the work array appends an identity that becomes
+        # M_II^{-1} and zeroes the vertex pairs, as M_VV comes from the band as
+        # assembled
+        order = FieldSpace((p, True), (*range(1, p), 0, p))
+        cell = DofLayout(p, cells, {}).gather_blocks(mat, order, order)
         work = np.zeros((p + 1, 2 * p, cells))
-        for i, a in enumerate(order):
-            for j, b in enumerate(order):
-                if min(i, j) < q:
-                    work[i, j] = mat.ab[r0 + a - b, b : b + p * cells : p]
+        work[:, : p + 1] = cell.transpose(1, 2, 0)
+        work[q:, q : p + 1] = 0.0
         work[range(q), range(p + 1, 2 * p)] = 1.0
         # Gauss-Jordan leaves [I, M_II^{-1} M_IV, M_II^{-1}] in the interior
         # rows and [0, -M_VI M_II^{-1} M_IV, -M_VI M_II^{-1}] in the vertex rows
@@ -144,10 +145,10 @@ class CondensedMass:
             factor = work[:, k].copy()
             factor[k] = 0.0
             work[:, k:] -= factor[:, None] * work[k, k:]
-        diag = mat.ab[r0, ::p].copy()
+        diag = np.append(cell[:, q, q], cell[-1, p, p])  # each vertex's, as assembled
         diag[:-1] += work[q, q]
         diag[1:] += work[p, p]
-        d, e, info = lapack.dpttrf(diag, mat.ab[r0 + p, :-1:p] + work[p, q])
+        d, e, info = lapack.dpttrf(diag, cell[:, p, q] + work[p, q])
         if info > 0:
             raise NotPositiveDefiniteError(
                 f"mass band: pivot {info - 1} of the vertex complement is not positive")

@@ -1,14 +1,15 @@
-"""Dense views of band storage, a scan for identity rows, and a reference
-assembly with the global index tables it scatters through, for checks on
-small systems.
+"""Dense views of band storage, a scan for identity rows, a block view
+sliced from the dense matrix, and a reference assembly with the global index
+tables it scatters through, for checks on small systems.
 
 Built on `BandedMatrix.ab`, `BandedMatrix.add_at` and the factors a `BandedLU`
 keeps, so the package itself needs no dense or inspection API.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from fem_errbal.assembly import BandedMatrix, _cell_integrals, eliminate_dirichlet
+from fem_errbal.assembly import BandedMatrix, SaddleBlocks, _cell_integrals, eliminate_dirichlet
 from fem_errbal.mesh_basis import basis_table, gauss_legendre_rule, reference_integral
 
 
@@ -81,6 +82,19 @@ def mixed_u_positions(p: int, t: int) -> np.ndarray:
     c = np.arange(t)[:, None]
     e = np.arange(p)[None, :]
     return 2 * p * c + 1 + e
+
+
+def dense_blocks(system) -> SaddleBlocks:
+    """The block view of a real mixed system sliced from its dense matrix: M's
+    band from the v-v slice, B and C as the CSR matrices of their slices (no
+    zero entries, columns ascending), pure_saddle as R == 0 and C == B^T."""
+    p, t = system.p, system.mesh.cell_count
+    a = to_dense(system.matrix)
+    v, u = mixed_v_positions(p, t), mixed_u_positions(p, t).ravel()
+    b, c = a[np.ix_(v, u)], a[np.ix_(u, v)]
+    pure_saddle = not a[np.ix_(u, u)].any() and np.array_equal(c, b.T)
+    return SaddleBlocks(M=from_dense(a[np.ix_(v, v)], p, p), B=sp.csr_matrix(b), C=sp.csr_matrix(c),
+                        G=system.rhs[v], H=system.rhs[u], pure_saddle=pure_saddle, pos_v=v, pos_u=u)
 
 
 def _scatter(mat: BandedMatrix, row_dofs: np.ndarray, col_dofs: np.ndarray, values: np.ndarray) -> None:

@@ -17,8 +17,8 @@ from fem_errbal.prediction import brute_force_sweep, prediction_loop, solve_leve
 from fem_errbal.error_analysis import host_dof_count, variable_available
 from fem_errbal.problem import VARIABLES, BoundaryCondition, ProblemSpec, catalog
 
-from banded import (add_at_assembly, cell_dofs, from_dense, identity_rows, mixed_u_positions,
-                    mixed_v_positions, to_dense)
+from banded import (add_at_assembly, cell_dofs, dense_blocks, from_dense, identity_rows,
+                    mixed_u_positions, mixed_v_positions, to_dense)
 
 
 def _zero(x):
@@ -52,6 +52,8 @@ _SCATTER_PROBLEMS = {
        for i in range(1, 6) for c in (0.01, 1.0, 100.0)},
     "poisson-neumann-variant": poisson_neumann_variant,
 }
+_REAL_PROBLEMS = sorted(name for name, make_spec in _SCATTER_PROBLEMS.items()
+                        if not make_spec().complex_valued)
 
 
 class TestBandedMatrix:
@@ -252,18 +254,27 @@ class TestMixedAssembly:
             rhs = np.dot(q, b.T @ w)
             assert abs(lhs - rhs) <= 1e-13 * scale * np.linalg.norm(q) * np.linalg.norm(w)
 
-    @pytest.mark.parametrize("spec", [catalog("bench-diffusion"), poisson_neumann_variant()])
-    def test_blocks_are_slices_of_the_band(self, spec):
-        system = assemble_mixed(spec, build_mesh(3), 3)
-        a = to_dense(system.matrix)
-        v = mixed_v_positions(3, 8)
-        u = mixed_u_positions(3, 8).ravel()
-        blocks = system.blocks
-        np.testing.assert_array_equal(to_dense(blocks.M), a[np.ix_(v, v)])
-        np.testing.assert_array_equal(blocks.B.toarray(), a[np.ix_(v, u)])
-        np.testing.assert_array_equal(blocks.C.toarray(), a[np.ix_(u, v)])
-        np.testing.assert_array_equal(blocks.G, system.rhs[v])
-        np.testing.assert_array_equal(blocks.H, system.rhs[u])
+    @pytest.mark.parametrize("problem", _REAL_PROBLEMS)
+    def test_blocks_are_slices_of_the_band(self, problem):
+        # bench-diffusion is no pure saddle, and the Neumann variant's
+        # eliminated v row leaves zeros in the band that are no entries of B
+        # or C.  A CSR matrix's order of entries in a row sets the bits of its
+        # products, so those are compared with the dense slices' byte for byte
+        spec = _SCATTER_PROBLEMS[problem]()
+        rng = np.random.default_rng(11)
+        for p in range(1, 6):
+            for level in (0, 3, 6):
+                system = assemble_mixed(spec, build_mesh(level), p)
+                blocks, ref = system.blocks, dense_blocks(system)
+                np.testing.assert_array_equal(to_dense(blocks.M), to_dense(ref.M))
+                for got, want in ((blocks.B, ref.B), (blocks.C, ref.C)):
+                    np.testing.assert_array_equal(got.toarray(), want.toarray())
+                    assert got.nnz == want.nnz, (p, level)
+                    w = rng.standard_normal(got.shape[1])
+                    assert (got @ w).tobytes() == (want @ w).tobytes(), (p, level)
+                for name in ("G", "H", "pos_v", "pos_u"):
+                    np.testing.assert_array_equal(getattr(blocks, name), getattr(ref, name))
+                assert blocks.pure_saddle == ref.pure_saddle, (p, level)
 
     def test_pure_saddle_flag(self):
         # with D = 1 and r = 0, C and B^T are the same exactly rounded

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fem_errbal import cli, prediction
@@ -433,6 +434,18 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_linalg_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        # np.linalg.LinAlgError subclasses ValueError, yet it is a numerical
+        # failure, not a configuration error
+        def failing_calibration(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(cli, "sensitivity_suite", failing_calibration)
+        code = main(["calibrate", "--suite", "solver", "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: SVD did not converge in Linear Least Squares\n")
 
     @pytest.mark.parametrize("subcommand", ["sweep", "predict"])
     def test_cg_on_a_complex_problem_is_exit_two(self, tmp_path, capsys, subcommand):

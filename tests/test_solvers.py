@@ -11,6 +11,7 @@ import pytest
 from fem_errbal import cli, solvers
 from fem_errbal.assembly import (
     BandedMatrix,
+    LinearSystem,
     assemble_mixed,
     assemble_standard,
 )
@@ -29,7 +30,7 @@ from fem_errbal.solvers import (
     solve_system,
 )
 
-from banded import from_dense, reconstruct, to_dense
+from banded import dense_blocks, from_dense, reconstruct, to_dense
 
 
 def _random_banded(n, kl, ku, seed):
@@ -346,6 +347,18 @@ class TestSchur:
             pytest.fail(f"no Schur iteration count was measured under the {kernel} BLAS kernel")
         system = assemble_mixed(catalog("bench-poisson"), build_mesh(level), 3)
         assert solve_system(system, "schur", tol_prm=1e-10).iterations == iterations
+
+    @pytest.mark.parametrize("level", [5, 8])
+    def test_gathered_blocks_solve_as_dense_slices(self, level, monkeypatch):
+        # the block view gathered from the band gives the solution bytes and
+        # iteration count of the one sliced from the dense matrix
+        system = assemble_mixed(catalog("bench-poisson"), build_mesh(level), 3)
+        x, iterations = schur_solve(system)
+        reference = dense_blocks(system)
+        monkeypatch.setattr(LinearSystem, "blocks", property(lambda _: reference))
+        x_ref, iterations_ref = schur_solve(system)
+        assert iterations == iterations_ref
+        assert x.tobytes() == x_ref.tobytes()
 
     def test_requires_pure_saddle(self):
         spec = catalog("bench-diffusion")

@@ -1,13 +1,15 @@
-"""Tier-1 tests and one benchmark workload under two OpenBLAS kernels.
+"""Tier-1 tests and one benchmark workload under three arithmetic settings.
 
     python3 tools/kernel_matrix.py --workload iterative --seconds 30
 
 Run from anywhere inside a source checkout.  For the kernel OpenBLAS picks
-by default and for Haswell, forced with OPENBLAS_CORETYPE, it runs the
-tier-1 command (`python -m pytest -q --continue-on-collection-errors` with
-`src` on PYTHONPATH) and `perfbench/run.py` on the chosen workload, one child
-process at a time.  The variable is set in each child's environment only.
-It prints one row per kernel: the kernel the test run reports, the tier-1
+by default, for Haswell, forced with OPENBLAS_CORETYPE, and for the default
+kernel with numpy's baseline loops, its AVX2 and AVX-512 dispatch turned
+off with NPY_DISABLE_CPU_FEATURES, it runs the tier-1 command
+(`python -m pytest -q --continue-on-collection-errors` with `src` on
+PYTHONPATH) and `perfbench/run.py` on the chosen workload, one child process
+at a time.  The variables are set in each child's environment only.  It
+prints one row per setting: the kernel the test run reports, the tier-1
 pass/fail counts, the workload's fingerprint, its failed operations and
 e_min_gap_dec, then the tests and operations that failed.  The rows are the
 kernel matrix that a change moving a round-off floor records.
@@ -24,27 +26,32 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = (None, "Haswell")  # None: no OPENBLAS_CORETYPE, the library's own choice
+# each row's variables; the others stay unset, so the libraries choose
+SETTINGS = {
+    "default": {},
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy baseline": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
 WORKLOADS = ("floor-sweep", "predict-grid", "iterative")
 
 
-def _env(kernel: str | None) -> dict[str, str]:
+def _env(setting: str) -> dict[str, str]:
     env = dict(os.environ)
-    env.pop("OPENBLAS_CORETYPE", None)
-    if kernel is not None:
-        env["OPENBLAS_CORETYPE"] = kernel
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(name, None)
+    env.update(SETTINGS[setting])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     return env
 
 
-def _run(command: list[str], kernel: str | None) -> str:
-    done = subprocess.run(command, cwd=ROOT, env=_env(kernel), capture_output=True, text=True)
+def _run(command: list[str], setting: str) -> str:
+    done = subprocess.run(command, cwd=ROOT, env=_env(setting), capture_output=True, text=True)
     return done.stdout + done.stderr
 
 
-def tier1(kernel: str | None) -> dict:
-    out = _run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], kernel)
+def tier1(setting: str) -> dict:
+    out = _run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], setting)
     lines = out.splitlines()
     summary = next((ln for ln in reversed(lines) if re.search(r"\d+ (passed|failed)", ln)), "")
     arithmetic = re.search(r"blas_kernel=([^,\s]+)", out)
@@ -55,9 +62,9 @@ def tier1(kernel: str | None) -> dict:
     }
 
 
-def bench(kernel: str | None, workload: str, seed: int, seconds: float) -> dict:
+def bench(setting: str, workload: str, seed: int, seconds: float) -> dict:
     out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", "0"], kernel)
+                "--seconds", str(seconds), "--trace", "0"], setting)
     lines = out.splitlines()
     fingerprint = re.search(r"^fingerprint (\w+) stable (\w+)", out, re.MULTILINE)
     try:
@@ -81,18 +88,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    rows = []
-    for kernel in KERNELS:
-        rows.append((kernel, tier1(kernel), bench(kernel, args.workload, args.seed, args.seconds)))
-    print(f"| OPENBLAS_CORETYPE | kernel | tier-1 | {args.workload} fingerprint | stable "
+    rows = [(setting, tier1(setting), bench(setting, args.workload, args.seed, args.seconds))
+            for setting in SETTINGS]
+    print(f"| setting | kernel | tier-1 | {args.workload} fingerprint | stable "
           f"| failed ops | e_min_gap_dec |")
     print("|---|---|---|---|---|---|---|")
-    for kernel, tests, run in rows:
-        print(f"| {kernel or 'unset'} | {tests['kernel']} | {tests['counts']} | "
+    for setting, tests, run in rows:
+        print(f"| {setting} | {tests['kernel']} | {tests['counts']} | "
               f"{run['fingerprint']} | {run['stable']} | {run['ops']} | {run['gap']:.4f} |")
-    for kernel, tests, run in rows:
+    for setting, tests, run in rows:
         for line in tests["failures"] + run["failures"]:
-            print(f"{kernel or 'unset'}: {line}")
+            print(f"{setting}: {line}")
     return 0
 
 
