@@ -25,8 +25,9 @@ One table, `_layout`, gives each formulation's stride and fields, with each
 field's basis and the offsets of its unknowns in a cell: cell c's unknown i
 sits at stride * c + offset i, and the mixed v and u interleave so the band
 stays narrow.  Each system keeps its layout (`LinearSystem.layout`).  The
-block (M, B, C, ...) view is gathered from the band cell by cell on each
-access, so there is one copy of the system.
+block view, M's band and B as CSR, is gathered from the band cell by cell on
+each access, so there is one copy of the system; C is no copy of its own, as
+the Schur solve, which needs C = B^T exactly, multiplies by B.T.
 
 Assembly never scales the matrix or the right-hand side; the frame that
 errors are measured in belongs to the prediction module.
@@ -190,14 +191,15 @@ def _layout(flavor: str, p: int, cells: int) -> DofLayout:
 class SaddleBlocks:
     """Block view of a real mixed system: M V + B U = G, C V + R U = H.
 
+    It holds M's band and B as CSR; C and R stay in the system's band.
     pure_saddle means R = 0 and C = B^T exactly, which is what the
     segregated Schur path requires: with D = 1 and r = 0 both blocks are
-    the same exactly rounded reference integrals.
+    the same exactly rounded reference integrals, and B.T, the CSC view on
+    B's own arrays, serves as C.
     """
 
     M: BandedMatrix
     B: sp.csr_matrix
-    C: sp.csr_matrix
     G: np.ndarray
     H: np.ndarray
     pure_saddle: bool
@@ -239,31 +241,26 @@ class LinearSystem:
         for i in range(p + 1):
             for j in range(p + 1):  # a shared vertex's diagonal gets its one value twice
                 m_block.ab[r0 + i - j, j : j + n_u : p] = vv[:, i, j]
-        # cell c's u unknowns are columns pc .. pc + p - 1 of B, its v unknowns
-        # columns pc .. pc + p of C.  The cells' rows of B in turn are B's rows,
-        # but for a shared vertex, whose row holds the left cell's entries, then
-        # the right cell's: each row's columns ascend
+        # cell c's u unknowns are columns pc .. pc + p - 1 of B.  The cells'
+        # rows in turn are B's rows, but for a shared vertex, whose row holds
+        # the left cell's entries, then the right cell's: each row's columns ascend
         index = np.int32 if vu.size < 2**31 else np.int64
         first = p * np.arange(layout.cells, dtype=index)[:, None, None]
         b_cols = np.repeat(first + np.arange(p, dtype=index), p + 1, axis=1)
-        c_cols = np.repeat(first + np.arange(p + 1, dtype=index), p, axis=1)
         rows = np.arange(n_v + 1, dtype=index)
         b_ptr = p * (rows + (rows - 1) // p)  # p per row above, p more per shared vertex
         b_ptr[0], b_ptr[-1] = 0, vu.size
-        c_ptr = (p + 1) * np.arange(n_u + 1, dtype=index)
         b_block = sp.csr_matrix((vu.ravel(), b_cols.ravel(), b_ptr), shape=(n_v, n_u))
-        c_block = sp.csr_matrix((uv.ravel(), c_cols.ravel(), c_ptr), shape=(n_u, n_v))
-        # the band's zeros, such as those of an eliminated v row, are no entries
-        b_block.eliminate_zeros()
-        c_block.eliminate_zeros()
+        b_block.eliminate_zeros()  # the band's zeros, such as an eliminated v row's, are no entries
         pos_v, pos_u = layout.positions("v"), layout.positions("u")
-        return SaddleBlocks(M=m_block, B=b_block, C=c_block, G=self.rhs[pos_v],
-                            H=self.rhs[pos_u], pure_saddle=pure_saddle, pos_v=pos_v, pos_u=pos_u)
+        return SaddleBlocks(M=m_block, B=b_block, G=self.rhs[pos_v], H=self.rhs[pos_u],
+                            pure_saddle=pure_saddle, pos_v=pos_v, pos_u=pos_u)
 
 
-def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple, b: tuple) -> np.ndarray:
+def _cell_integrals(coef: np.ndarray, weights: np.ndarray, a: tuple, b: tuple) -> np.ndarray:
     """Integrals of coef * a_i * b_j over every reference cell.
 
+    coef holds the values at the points of the rule with these weights.
     a and b name basis derivatives as (degree, continuous, order).  A
     coefficient that is constant over the mesh scales the exactly rounded
     reference integrals and gives one (na, nb) matrix for all cells; otherwise
@@ -272,8 +269,8 @@ def _cell_integrals(coef: np.ndarray, weights: np.ndarray, n_quad: int, a: tuple
     c0 = coef.flat[0]
     if np.all(coef == c0):
         return c0 * reference_integral(a, b)
-    ta = basis_table(a[0], a[1], n_quad, a[2])
-    tb = basis_table(b[0], b[1], n_quad, b[2])
+    ta = basis_table(a[0], a[1], weights.size, a[2])
+    tb = basis_table(b[0], b[1], weights.size, b[2])
     return np.einsum("cq,qi,qj->cij", weights[None, :] * coef, ta, tb)
 
 
@@ -296,8 +293,7 @@ def _cell_loads(spec: ProblemSpec, mesh: Mesh, x_q: np.ndarray, weights: np.ndar
 # --- standard formulation ------------------------------------------------------
 
 def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
-    n_quad = p + 2
-    quad = gauss_legendre_rule(n_quad)
+    quad = gauss_legendre_rule(p + 2)
     t, h = mesh.cell_count, mesh.h
     dtype = complex if spec.complex_valued else float
     layout = _layout("standard", p, t)
@@ -306,10 +302,10 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     x_q = mesh.quadrature_points(quad.points)
 
     dv = np.asarray(spec.D(x_q), dtype=dtype)
-    ke = -(1.0 / h) * _cell_integrals(dv, quad.weights, n_quad, dphi, dphi)
+    ke = -(1.0 / h) * _cell_integrals(dv, quad.weights, dphi, dphi)
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     if np.any(rv != 0):
-        ke = ke + h * _cell_integrals(rv, quad.weights, n_quad, phi, phi)
+        ke = ke + h * _cell_integrals(rv, quad.weights, phi, phi)
     fe = _cell_loads(spec, mesh, x_q, quad.weights, u, dtype)
 
     mat, rhs = layout.empty_system(dtype)
@@ -336,8 +332,7 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
 # --- mixed formulation ---------------------------------------------------------
 
 def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
-    n_quad = p + 2
-    quad = gauss_legendre_rule(n_quad)
+    quad = gauss_legendre_rule(p + 2)
     t, h = mesh.cell_count, mesh.h
     dtype = complex if spec.complex_valued else float
     layout = _layout("mixed", p, t)
@@ -351,8 +346,8 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     dxv = np.asarray(spec.D_x(x_q), dtype=dtype)
     # -(q, D_x v) - (q, D v_x); the 1/h of the physical derivative cancels h dx
     ce = -(
-        h * _cell_integrals(dxv, quad.weights, n_quad, psi, phi)
-        + _cell_integrals(dv, quad.weights, n_quad, psi, dphi)
+        h * _cell_integrals(dxv, quad.weights, psi, phi)
+        + _cell_integrals(dv, quad.weights, psi, dphi)
     )
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     he = _cell_loads(spec, mesh, x_q, quad.weights, u, dtype)
@@ -362,7 +357,7 @@ def assemble_mixed(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     layout.add_blocks(mat, be, v, u)
     layout.add_blocks(mat, ce, u, v)
     if np.any(rv != 0):
-        layout.add_blocks(mat, h * _cell_integrals(rv, quad.weights, n_quad, psi, psi), u, u)
+        layout.add_blocks(mat, h * _cell_integrals(rv, quad.weights, psi, psi), u, u)
     layout.add_loads(rhs, he, u)
 
     # Dirichlet data is natural here: G_k = -(w_k, g n) on the Dirichlet ends;

@@ -287,6 +287,8 @@ def sensitivity_suite(
                                   rise_streak=streak, solver=solver, tol_prm=tol_prm)
         try:
             fit, note = fit_floor(curve), ""
+        except np.linalg.LinAlgError:  # a ValueError, but a numerical failure, not a refusal
+            raise
         except ValueError as err:
             fit, note = None, str(err)
         run = CalibrationRun(suite=kind, label=label, problem=spec.label, flavor=flv, p=p,

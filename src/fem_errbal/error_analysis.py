@@ -1,11 +1,12 @@
 """Field reconstruction and L2 error measurement.
 
 Solutions come back as coefficient vectors; this module turns them into
-evaluable piecewise-polynomial views of u, u_x and u_xx, measures L2 errors
-against exact solutions or once-refined solves, and tracks error curves over
-refinement ladders and writes them as CSV.  A view copies the coefficients of
-the one field that hosts its variable (`assembly.cell_coefficients`) and takes
-that field's basis from `LinearSystem.layout`; for mixed systems the derivative
+piecewise-polynomial views of u, u_x and u_xx that evaluate at each cell's
+quadrature points, measures L2 errors against exact solutions or once-refined
+solves, and tracks error curves over refinement ladders and writes them as
+CSV.  A view copies the coefficients of the one field that hosts its variable
+(`assembly.cell_coefficients`) and keeps that field's basis, the (degree,
+continuous) tuple of `LinearSystem.layout`; for mixed systems the derivative
 fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  A system
 solved in a frame (its right-hand side divided by one positive number, see
 `prediction.solve_level`) yields unknowns divided by that number, and so do
@@ -23,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .assembly import LinearSystem, cell_coefficients
-from .mesh_basis import LagrangeBasis, Mesh, basis_table, build_mesh, gauss_legendre_rule
+from .mesh_basis import Mesh, basis_table, build_mesh, gauss_legendre_rule
 from .problem import VARIABLES, ProblemSpec, eval_exact
 from .solvers import SolveReport
 
@@ -84,12 +85,12 @@ def _check_tags(flavor: str, var: str) -> None:
 
 @dataclass
 class FieldView:
-    """Evaluable piecewise-polynomial view of one solution variable."""
+    """Piecewise-polynomial view of one solution variable."""
 
     var: str
     flavor: str
     mesh: Mesh
-    basis: LagrangeBasis
+    basis: tuple[int, bool]  # (degree, continuous) of the host field
     coeffs: np.ndarray  # (cells, local dofs)
     deriv_order: int
     fem_degree: int
@@ -104,17 +105,6 @@ class FieldView:
             self.flavor, self.var, self.fem_degree, self.mesh.cell_count, self.complex_valued
         )
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-            raise ValueError("evaluation points must lie in [0, 1]")
-        t = self.mesh.cell_count
-        cell = np.clip(np.floor(x * t).astype(np.int64), 0, t - 1)
-        xi = x * t - cell
-        table = self.basis.eval(xi, self.deriv_order)
-        vals = np.einsum("mi,mi->m", table.astype(self.coeffs.dtype), self.coeffs[cell])
-        return vals / self.mesh.h**self.deriv_order
-
     def eval_on_cells(self, n_quad: int, child: int | None = None,
                       cells: slice = slice(None)) -> np.ndarray:
         """Values at the points of the n_quad-point rule in each cell, shape (cells, n_quad).
@@ -122,8 +112,7 @@ class FieldView:
         With child k in {0, 1} the points are those of the rule on each cell's
         k-th half (see `basis_table`).  `cells` picks a slice of the cells.
         """
-        table = basis_table(self.basis.degree, self.basis.continuous, n_quad, self.deriv_order,
-                            child)
+        table = basis_table(*self.basis, n_quad, self.deriv_order, child)
         vals = self.coeffs[cells] @ table.T
         return vals / self.mesh.h**self.deriv_order if self.deriv_order else vals
 
@@ -139,7 +128,7 @@ def reconstruct(report: SolveReport, system: LinearSystem, var: str) -> FieldVie
     if host == "v":
         np.negative(coeffs, out=coeffs)
     return FieldView(var=var, flavor=system.flavor, mesh=system.mesh,
-                     basis=LagrangeBasis(*system.layout.fields[host].basis), coeffs=coeffs,
+                     basis=system.layout.fields[host].basis, coeffs=coeffs,
                      deriv_order=_DERIV_ORDER[var] - (host == "v"), fem_degree=p)
 
 

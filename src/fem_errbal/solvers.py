@@ -13,11 +13,11 @@ construction, so the system is negated before iterating.  CG's products run
 through the band's DIA operator (`BandedMatrix.operator`), built once per
 solve, which gives the bits of `BandedMatrix.matvec`.  Mixed saddle systems
 can alternatively be solved segregated: an outer CG on the Schur complement
-C M^{-1} B (C = B^T exactly) with a three-step matvec, then a mass solve
-recovers v.  Its mass solves use `CondensedMass`, static condensation of
-the continuous mass band: the cell interiors are eliminated per cell, all
-cells at once, and a tridiagonal LDL^T (LAPACK pttrf/pttrs) solves for the
-vertices, so no step calls BLAS.  Each solver returns its solution and
+C M^{-1} B (C = B^T exactly, applied as B.T) with a three-step matvec, then
+a mass solve recovers v.  Its mass solves use `CondensedMass`, static
+condensation of the continuous mass band: the cell interiors are eliminated
+per cell, all cells at once, and a tridiagonal LDL^T (LAPACK pttrf/pttrs)
+solves for the vertices, so no step calls BLAS.  Each solver returns its solution and
 iteration count; `solve_system` times it and measures ||F - A x|| / ||F||
 through `BandedMatrix.matvec`, the same residual whichever solver ran.
 """
@@ -122,7 +122,8 @@ class CondensedMass:
     T that is not positive raises NotPositiveDefiniteError.
     """
 
-    def __init__(self, mat: BandedMatrix, p: int):
+    def __init__(self, mat: BandedMatrix):
+        p = mat.kl  # a cell's vertices are p apart
         q, cells = p - 1, (mat.n - 1) // p
         # every cell's block, rows and columns in the order interiors, left and
         # right vertex; the work array appends an identity that becomes
@@ -263,9 +264,10 @@ def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarra
     Outer CG runs on C M^{-1} B U = C M^{-1} G - H with the three-step
     matvec X = B W, M Y = X, Z = C Y; the gradient unknowns follow from
     M V = G - B U.  All three mass solves, the right-hand side's, every
-    outer iteration's and v's, reuse one `CondensedMass` of M.  C is the
-    second-equation block taken from the system, equal to B^T exactly in
-    the pure saddle form, so the operator is symmetric positive definite.
+    outer iteration's and v's, reuse one `CondensedMass` of M.  C = B^T
+    exactly in the pure saddle form, so the operator is symmetric positive
+    definite, and C is B.T, the CSC view on B's own arrays: it sums each
+    output row in ascending column order, as a CSR copy of C would.
     tol_prm is the outer CG's stopping tolerance on the Schur system.
     """
     blocks = system.blocks
@@ -276,8 +278,8 @@ def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarra
             "segregated solve requires the pure saddle form (constant unit "
             "diffusion, no reaction term)"
         )
-    m_solve = CondensedMass(blocks.M, system.p).solve
-    b_mat, c_mat = blocks.B, blocks.C
+    m_solve = CondensedMass(blocks.M).solve
+    b_mat, c_mat = blocks.B, blocks.B.T
     rhs_outer = c_mat @ m_solve(blocks.G) - blocks.H
 
     def s_matvec(w):

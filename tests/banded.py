@@ -86,15 +86,15 @@ def mixed_u_positions(p: int, t: int) -> np.ndarray:
 
 def dense_blocks(system) -> SaddleBlocks:
     """The block view of a real mixed system sliced from its dense matrix: M's
-    band from the v-v slice, B and C as the CSR matrices of their slices (no
-    zero entries, columns ascending), pure_saddle as R == 0 and C == B^T."""
+    band from the v-v slice, B as the CSR matrix of its slice (no zero
+    entries, columns ascending), pure_saddle as R == 0 and C == B^T."""
     p, t = system.p, system.mesh.cell_count
     a = to_dense(system.matrix)
     v, u = mixed_v_positions(p, t), mixed_u_positions(p, t).ravel()
-    b, c = a[np.ix_(v, u)], a[np.ix_(u, v)]
-    pure_saddle = not a[np.ix_(u, u)].any() and np.array_equal(c, b.T)
-    return SaddleBlocks(M=from_dense(a[np.ix_(v, v)], p, p), B=sp.csr_matrix(b), C=sp.csr_matrix(c),
-                        G=system.rhs[v], H=system.rhs[u], pure_saddle=pure_saddle, pos_v=v, pos_u=u)
+    b = a[np.ix_(v, u)]
+    pure_saddle = not a[np.ix_(u, u)].any() and np.array_equal(a[np.ix_(u, v)], b.T)
+    return SaddleBlocks(M=from_dense(a[np.ix_(v, v)], p, p), B=sp.csr_matrix(b), G=system.rhs[v],
+                        H=system.rhs[u], pure_saddle=pure_saddle, pos_v=v, pos_u=u)
 
 
 def _scatter(mat: BandedMatrix, row_dofs: np.ndarray, col_dofs: np.ndarray, values: np.ndarray) -> None:
@@ -118,7 +118,7 @@ def add_at_assembly(spec, mesh, p: int, flavor: str):
     phi, dphi, psi = (p, True, 0), (p, True, 1), (p - 1, False, 0)
 
     def integrals(name, a, b):
-        return _cell_integrals(coef[name], quad.weights, n_quad, a, b)
+        return _cell_integrals(coef[name], quad.weights, a, b)
 
     if flavor == "standard":
         m = p * t + 1

@@ -1,9 +1,9 @@
 """Header of every test run naming the arithmetic it used.
 
 Round-off floors depend on the BLAS kernel that OpenBLAS picks at run time
-and on its thread count, so every test log records them next to the
-Python, numpy and scipy versions: in the header, and under -q, where pytest
-prints no header, in the closing summary.
+and on its thread count, and some counts on numpy's CPU dispatch, so every
+test log records them next to the Python, numpy and scipy versions: in the
+header, and under -q, where pytest prints no header, in the closing summary.
 """
 
 import os
@@ -17,9 +17,11 @@ from fem_errbal.calibration import blas_kernel
 
 def _arithmetic() -> str:
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES")
+    disabled = "unset" if disabled is None else f'"{disabled}"'
     return (f"fem-errbal arithmetic: python {platform.python_version()}, numpy {np.__version__}, "
             f"scipy {scipy.__version__}, blas_kernel={blas_kernel()}, "
-            f"OPENBLAS_NUM_THREADS={threads}")
+            f"OPENBLAS_NUM_THREADS={threads}, NPY_DISABLE_CPU_FEATURES={disabled}")
 
 
 def pytest_report_header(config):

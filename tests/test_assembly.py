@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fem_errbal import prediction
 from fem_errbal.assembly import (
@@ -257,9 +258,11 @@ class TestMixedAssembly:
     @pytest.mark.parametrize("problem", _REAL_PROBLEMS)
     def test_blocks_are_slices_of_the_band(self, problem):
         # bench-diffusion is no pure saddle, and the Neumann variant's
-        # eliminated v row leaves zeros in the band that are no entries of B
-        # or C.  A CSR matrix's order of entries in a row sets the bits of its
-        # products, so those are compared with the dense slices' byte for byte
+        # eliminated v row leaves zeros in the band that are no entries of B.
+        # A sparse matrix's order of entries in a row sets the bits of its
+        # products, so those are compared with the dense slices' byte for
+        # byte: B's, and for a pure saddle, where Schur multiplies by B.T, the
+        # CSR matrix of the u-v slice, C's own
         spec = _SCATTER_PROBLEMS[problem]()
         rng = np.random.default_rng(11)
         for p in range(1, 6):
@@ -267,11 +270,14 @@ class TestMixedAssembly:
                 system = assemble_mixed(spec, build_mesh(level), p)
                 blocks, ref = system.blocks, dense_blocks(system)
                 np.testing.assert_array_equal(to_dense(blocks.M), to_dense(ref.M))
-                for got, want in ((blocks.B, ref.B), (blocks.C, ref.C)):
-                    np.testing.assert_array_equal(got.toarray(), want.toarray())
-                    assert got.nnz == want.nnz, (p, level)
-                    w = rng.standard_normal(got.shape[1])
-                    assert (got @ w).tobytes() == (want @ w).tobytes(), (p, level)
+                np.testing.assert_array_equal(blocks.B.toarray(), ref.B.toarray())
+                assert blocks.B.nnz == ref.B.nnz, (p, level)
+                w = rng.standard_normal(blocks.B.shape[1])
+                assert (blocks.B @ w).tobytes() == (ref.B @ w).tobytes(), (p, level)
+                if ref.pure_saddle:
+                    c = sp.csr_matrix(to_dense(system.matrix)[np.ix_(ref.pos_u, ref.pos_v)])
+                    y = rng.standard_normal(c.shape[1])
+                    assert (blocks.B.T @ y).tobytes() == (c @ y).tobytes(), (p, level)
                 for name in ("G", "H", "pos_v", "pos_u"):
                     np.testing.assert_array_equal(getattr(blocks, name), getattr(ref, name))
                 assert blocks.pure_saddle == ref.pure_saddle, (p, level)
