@@ -3,11 +3,12 @@
 Matrices live in LAPACK-compatible band storage, and this module alone
 indexes it: the solvers go through `BandedMatrix.matvec` for a single
 product, through `BandedMatrix.operator`, the one sparse form of the band,
-for CG's products, and through `DofLayout.gather_blocks` for per-cell blocks
-(the block view `LinearSystem.blocks` and the condensed mass solve), and the
-banded LU hands the array to LAPACK as it is.  Each system records the rows
-that strong boundary elimination made identities
-(`LinearSystem.constrained`), so no solver has to find them in the band.
+for CG's products, and through `DofLayout.cell_windows`, a view of every
+cell's block, for the condensed solves and the block view
+`LinearSystem.blocks`, and the banded LU hands the array to LAPACK as it
+is.  Each system records the rows that strong boundary elimination made
+identities (`LinearSystem.constrained`), so no solver has to find them in
+the band.
 Complex-coefficient problems are assembled, constrained and stored in
 complex arithmetic: the band's dtype is the one record of whether a system
 is complex, and the banded LU factors it in that dtype.
@@ -71,6 +72,10 @@ class BandedMatrix:
         """Scatter-add; duplicate (row, col) pairs accumulate."""
         np.add.at(self.ab, (self.kl + self.ku + rows - cols, cols), values)
 
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, a view of the band."""
+        return self.ab[self.kl + self.ku]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(self.n, dtype=np.result_type(self.ab.dtype, x.dtype))
         r0 = self.kl + self.ku
@@ -103,11 +108,12 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
     column, which keeps a symmetric matrix symmetric.
     """
     r0 = mat.kl + mat.ku
-    rows = np.arange(max(0, index - mat.ku), min(mat.n, index + mat.kl + 1))
-    rhs[rows] -= mat.ab[r0 + rows - index, index] * value
-    mat.ab[r0 + rows - index, index] = 0.0
-    cols = np.arange(max(0, index - mat.kl), min(mat.n, index + mat.ku + 1))
-    mat.ab[r0 + index - cols, cols] = 0.0
+    lo, hi = max(0, index - mat.ku), min(mat.n, index + mat.kl + 1)
+    column = mat.ab[r0 + lo - index : r0 + hi - index, index]  # A[lo:hi, index]
+    rhs[lo:hi] -= column * value
+    column[:] = 0.0
+    for j in range(max(0, index - mat.kl), min(mat.n, index + mat.ku + 1)):
+        mat.ab[r0 + index - j, j] = 0.0  # A[index, j]
     mat.ab[r0, index] = 1.0
     rhs[index] = value
 
@@ -158,19 +164,23 @@ class DofLayout(NamedTuple):
             for j, cj in enumerate(cols.offsets):
                 mat.ab[r0 + ri - cj, cj : cj + last : self.stride] += values[..., i, j]
 
-    def gather_blocks(self, mat: BandedMatrix, rows: FieldSpace, cols: FieldSpace) -> np.ndarray:
-        """Every cell's (rows' i-th, cols' j-th) band entries as a (cells, a, b) stack.
+    def cell_windows(self, mat: BandedMatrix) -> np.ndarray:
+        """Every cell's (stride + 1) x (stride + 1) window of the band, as a read-only view.
 
-        The mirror of `add_blocks`: a slot that two cells share (the diagonal
-        of a shared vertex) reads its assembled sum in both.  The stack is a
-        view of a C-ordered (a, b, cells) array, one strided copy per pair.
+        view[i, j, c] is A[stride c + i, stride c + j], so a slice of cells or
+        of local unknowns reads the band with no copy.  A slot that two cells
+        share (the diagonal of a shared vertex) reads its assembled sum in
+        both.  Along j the view steps one column right and one storage row up
+        at once, which needs a C-ordered band with kl and ku at least stride.
         """
-        r0, last = mat.kl + mat.ku, self.stride * self.cells
-        out = np.empty((len(rows.offsets), len(cols.offsets), self.cells), dtype=mat.ab.dtype)
-        for i, ri in enumerate(rows.offsets):
-            for j, cj in enumerate(cols.offsets):
-                out[i, j] = mat.ab[r0 + ri - cj, cj : cj + last : self.stride]
-        return out.transpose(2, 0, 1)
+        s, n, ab = self.stride, mat.n, mat.ab
+        if mat.kl < s or mat.ku < s or not ab.flags.c_contiguous:
+            raise ValueError("cell windows need a C-ordered band at least a stride wide")
+        view = np.ndarray((s + 1, s + 1, self.cells), dtype=ab.dtype, buffer=ab,
+                          offset=(mat.kl + mat.ku) * n * ab.itemsize,
+                          strides=(n * ab.itemsize, (1 - n) * ab.itemsize, s * ab.itemsize))
+        view.flags.writeable = False
+        return view
 
     def add_loads(self, rhs: np.ndarray, values: np.ndarray, field: FieldSpace) -> None:
         """Put values[c, i] at cell c's i-th unknown of the field; shared vertices sum."""
@@ -232,9 +242,12 @@ class LinearSystem:
             return None
         layout, p, mat = self.layout, self.p, self.matrix
         v, u = layout.fields["v"], layout.fields["u"]
-        vv, vu, uv = (layout.gather_blocks(mat, a, b) for a, b in ((v, v), (v, u), (u, v)))
-        pure_saddle = (not layout.gather_blocks(mat, u, u).any()
-                       and np.array_equal(uv, vu.transpose(0, 2, 1)))
+        # each cell's (a, b) block of two fields, as a (cells, a, b) view of a
+        # C-ordered (a, b, cells) copy; a shared vertex's diagonal reads its sum
+        windows = layout.cell_windows(mat)
+        vv, vu, uv, uu = (windows[np.ix_(a.offsets, b.offsets)].transpose(2, 0, 1)
+                          for a, b in ((v, v), (v, u), (u, v), (u, u)))
+        pure_saddle = not uu.any() and np.array_equal(uv, vu.transpose(0, 2, 1))
         n_v, n_u = p * layout.cells + 1, p * layout.cells
         m_block = BandedMatrix(n_v, p, p)  # v couples within one cell
         r0 = m_block.kl + m_block.ku

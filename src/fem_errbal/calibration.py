@@ -105,7 +105,8 @@ def cpu_identifier() -> str:
 def blas_kernel() -> str:
     """Name of the kernel that scipy's bundled OpenBLAS picked at run time.
 
-    The banded LU runs in that library, and its floor moves with the kernel.
+    The banded LU of mixed and complex systems runs in that library, and
+    their floors move with the kernel.
     Asks the library through ctypes; 'unknown' where scipy bundles no
     OpenBLAS that exports `scipy_openblas_get_corename`.
     """

@@ -33,11 +33,13 @@ _DERIV_ORDER = {"u": 0, "ux": 1, "uxx": 2}
 # offsets of the round-off floor E_R = alpha_R N^{beta_R}, calibrated per variable;
 # budgets from above, to be recalibrated via the sensitivity suites when the floor
 # level matters.  Element tables are rounded once (see mesh_basis), so they no
-# longer depend on the numpy/LAPACK build, but the LU floor still depends on the
-# BLAS kernel: bench-poisson standard p=2 u fits alpha_R = 1.2e-17 under OpenBLAS
-# SkylakeX and bottoms out higher under Haswell (8.3e-11 against 5.7e-11); the
-# leggauss weights and Vandermonde-solved basis of earlier tables had added an
-# N^2 error that fitted 4.2e-17 on one build
+# longer depend on the numpy/LAPACK build, and real standard systems are solved by
+# static condensation, whose bytes do not depend on the BLAS kernel:
+# bench-poisson standard p=2 u fits alpha_R = 2.09e-17 at slope 2.000 under every
+# kernel (the banded LU had fitted 1.2e-17 under OpenBLAS SkylakeX and bottomed out
+# higher under Haswell).  Mixed and complex floors still come from the banded LU
+# and move with the kernel.  The leggauss weights and Vandermonde-solved basis of
+# earlier tables had added an N^2 error that fitted 4.2e-17 on one build
 DEFAULT_ALPHA_R = {"u": 2e-17, "ux": 5e-17, "uxx": 1e-15}
 
 

@@ -12,9 +12,9 @@ polynomials interpolate the stored double nodes, so a table holds the
 correctly rounded values of the very basis the solution is expanded in.
 
 This keeps the element tables, and so the assembled systems, independent of
-the numpy and LAPACK build.  The round-off floor is not: the banded LU runs
-in the BLAS library, and its bytes change with the kernel that library picks
-at run time.  numpy's `leggauss` takes its points from LAPACK `eigvalsh`,
+the numpy and LAPACK build.  Not every round-off floor is: the banded LU
+that solves mixed and complex systems runs in the BLAS library, and its bytes
+change with the kernel that library picks at run time.  numpy's `leggauss` takes its points from LAPACK `eigvalsh`,
 applies one Newton step and normalizes the weights, which leaves the weights
 several ulps off in a build-dependent way; a Vandermonde solve for the basis
 coefficients adds its own LAPACK-dependent error.  With such tables the

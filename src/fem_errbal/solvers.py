@@ -1,10 +1,18 @@
 """Direct and iterative solvers for the assembled systems.
 
-The direct path is a banded LU with partial pivoting (LAPACK gbtrf/gbtrs) on
-the band layout produced by assembly, in the band's own dtype: dgbtrf for
-real systems, zgbtrf for complex ones.  Upper bandwidth grows by the lower
-bandwidth during pivoting and no iterative refinement is applied.  The
-iterative path is plain conjugate gradients with the stopping rule
+The direct path, `lu`, solves a real standard system by static
+condensation when the diagonal of its free rows has one sign: the cell
+interiors are eliminated one block of cells at a time with the right-hand
+side carried along, one dptsv (LAPACK's tridiagonal LDL^T) solves the
+vertex complement, and the interiors are back-substituted.  Every step is
+numpy elementwise arithmetic or that one scalar LAPACK call, so its bytes
+depend on neither the BLAS kernel nor numpy's CPU dispatch.  Complex and
+mixed systems, a free diagonal of mixed signs, and a system that meets a
+pivot that is not positive go to a banded LU with partial pivoting
+(LAPACK gbtrf/gbtrs) in the band's own dtype: dgbtrf for real systems,
+zgbtrf for complex ones.  Its upper bandwidth grows by the lower bandwidth
+during pivoting, and no iterative refinement is applied.  The iterative
+path is plain conjugate gradients with the stopping rule
 ||F - A x||_2 <= tol_prm ||F||_2, for real systems only.  It takes the
 identity rows of strongly imposed boundary values from assembly
 (`LinearSystem.constrained`), and the sign of the operator from the diagonal
@@ -14,12 +22,12 @@ through the band's DIA operator (`BandedMatrix.operator`), built once per
 solve, which gives the bits of `BandedMatrix.matvec`.  Mixed saddle systems
 can alternatively be solved segregated: an outer CG on the Schur complement
 C M^{-1} B (C = B^T exactly, applied as B.T) with a three-step matvec, then
-a mass solve recovers v.  Its mass solves use `CondensedMass`, static
-condensation of the continuous mass band: the cell interiors are eliminated
-per cell, all cells at once, and a tridiagonal LDL^T (LAPACK pttrf/pttrs)
-solves for the vertices, so no step calls BLAS.  Each solver returns its solution and
-iteration count; `solve_system` times it and measures ||F - A x|| / ||F||
-through `BandedMatrix.matvec`, the same residual whichever solver ran.
+a mass solve recovers v.  Its mass solves use `CondensedMass`, the same
+elimination of the cell interiors on the continuous mass band, all cells at
+once, with a tridiagonal LDL^T (LAPACK pttrf/pttrs) for the vertices, so no
+step calls BLAS.  Each solver returns its solution and iteration count;
+`solve_system` times it and measures ||F - A x|| / ||F|| through
+`BandedMatrix.matvec`, the same residual whichever solver ran.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .assembly import BandedMatrix, DofLayout, FieldSpace, LinearSystem
+from .assembly import BandedMatrix, DofLayout, LinearSystem
 
 SOLVERS = ("lu", "cg", "schur")  # the names solve_system dispatches on
 
@@ -100,19 +108,63 @@ class BandedLU:
         return np.ascontiguousarray(x[:, 0])
 
 
+def _eliminate_interiors(windows: np.ndarray, cells: slice, extra: np.ndarray, sign: float,
+                         band: str) -> np.ndarray:
+    """Gauss-Jordan on the interior pivots of the cells in the slice, all at once.
+
+    windows is `DofLayout.cell_windows` of a band whose cells have their
+    vertices p apart: cell c's p - 1 interior unknowns, pc + 1 .. pc + p - 1,
+    couple only with each other and with the vertices pc and pc + p.  The
+    work rows are a cell's unknowns in order, left vertex, interiors, right
+    vertex; its columns are the interiors, the left and the right vertex,
+    then extra's columns, whose interior rows extra gives.  The vertex rows
+    start at zero from the vertex columns on, as the vertex pairs are read
+    from the band as assembled, so no vertex-vertex entry is read here.
+    Elimination leaves [I, K_II^{-1} K_IV, K_II^{-1} X] in the interior rows
+    and [0, -K_VI K_II^{-1} K_IV, -K_VI K_II^{-1} X] in the vertex rows, for
+    the cell blocks K and extra columns X.  No pivoting: every pivot times
+    sign must be positive, as it is in a definite band, or
+    NotPositiveDefiniteError names the band.  Each column is updated by
+    elementwise operations of its own, so extra's columns do not change the
+    bits of the others.
+    """
+    p = windows.shape[0] - 1
+    q, block = p - 1, windows[:, :, cells]
+    work = np.zeros((p + 1, p + 1 + extra.shape[1], block.shape[2]))
+    work[:, :q] = block[:, 1:p]
+    work[1:p, q : p + 1] = block[1:p, ::p]
+    work[1:p, p + 1 :] = extra
+    for k in range(q):
+        factor, row = work[:, k : k + 1].copy(), work[k + 1, k:]
+        pivot = factor[k + 1, 0]  # divides the pivot row before the factor's zero is set
+        if not (pivot.min() > 0 if sign > 0 else pivot.max() < 0):
+            raise NotPositiveDefiniteError(f"{band}: interior pivot {k} of a cell is not positive")
+        row /= pivot
+        factor[k + 1] = 0.0
+        work[:, k:] -= factor * row
+    return work
+
+
+def _add_to_vertices(sums: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Add each cell's contributions to the vertices on its sides, in place.
+
+    Cell c adds left[c] to vertex c and right[c] to vertex c + 1.  The left
+    contributions go in first, so the sums are the same whether the cells
+    were eliminated all at once or block by block.
+    """
+    sums[:-1] += left
+    sums[1:] += right
+
+
 class CondensedMass:
     """Solves with the continuous degree-p mass band by static condensation.
 
-    Cell c's p - 1 interior unknowns, pc + 1 .. pc + p - 1, couple only with
-    each other and with the cell's vertices pc and pc + p.  Set-up gathers
-    each cell's blocks M_II, M_IV and M_VI from the band
-    (`DofLayout.gather_blocks`), runs Gauss-Jordan on the interior pivots of
-    all cells at once, without pivoting, as a positive definite band needs
-    none, which gives M_II^{-1}, M_II^{-1} M_IV and M_VI M_II^{-1}, and
-    factors the tridiagonal vertex complement T = M_VV - M_VI M_II^{-1} M_IV
-    with dpttrf.  M_VV's diagonal and off-diagonal are the gathered vertex
-    pairs, which read the band as assembled, so the identity row of a
-    strongly imposed end stays one.
+    Set-up eliminates every cell's interiors at once (`_eliminate_interiors`),
+    with the identity as extra columns, which gives M_II^{-1}, M_II^{-1} M_IV
+    and M_VI M_II^{-1}, and factors the tridiagonal vertex complement
+    T = M_VV - M_VI M_II^{-1} M_IV with dpttrf.  M_VV's diagonal and
+    off-diagonal are read from the band as assembled, so the identity row of
+    a strongly imposed end stays one.
 
     A solve is M^{-1} b = F b + G T^{-1}(E b): one CSR product stacks
     E b = b_V - M_VI M_II^{-1} b_I over F b = M_II^{-1} b_I (zero at the
@@ -125,31 +177,11 @@ class CondensedMass:
     def __init__(self, mat: BandedMatrix):
         p = mat.kl  # a cell's vertices are p apart
         q, cells = p - 1, (mat.n - 1) // p
-        # every cell's block, rows and columns in the order interiors, left and
-        # right vertex; the work array appends an identity that becomes
-        # M_II^{-1} and zeroes the vertex pairs, as M_VV comes from the band as
-        # assembled
-        order = FieldSpace((p, True), (*range(1, p), 0, p))
-        cell = DofLayout(p, cells, {}).gather_blocks(mat, order, order)
-        work = np.zeros((p + 1, 2 * p, cells))
-        work[:, : p + 1] = cell.transpose(1, 2, 0)
-        work[q:, q : p + 1] = 0.0
-        work[range(q), range(p + 1, 2 * p)] = 1.0
-        # Gauss-Jordan leaves [I, M_II^{-1} M_IV, M_II^{-1}] in the interior
-        # rows and [0, -M_VI M_II^{-1} M_IV, -M_VI M_II^{-1}] in the vertex rows
-        for k in range(q):
-            pivot = work[k, k].copy()
-            if not pivot.min() > 0:
-                raise NotPositiveDefiniteError(
-                    f"mass band: interior pivot {k} of a cell is not positive")
-            work[k, k:] /= pivot
-            factor = work[:, k].copy()
-            factor[k] = 0.0
-            work[:, k:] -= factor[:, None] * work[k, k:]
-        diag = np.append(cell[:, q, q], cell[-1, p, p])  # each vertex's, as assembled
-        diag[:-1] += work[q, q]
-        diag[1:] += work[p, p]
-        d, e, info = lapack.dpttrf(diag, cell[:, p, q] + work[p, q])
+        windows = DofLayout(p, cells, {}).cell_windows(mat)
+        work = _eliminate_interiors(windows, slice(None), np.eye(q)[:, :, None], 1.0, "mass band")
+        diag = mat.diagonal()[::p].copy()
+        _add_to_vertices(diag, work[0, q], work[p, p])
+        d, e, info = lapack.dpttrf(diag, windows[p, 0] + work[p, q])
         if info > 0:
             raise NotPositiveDefiniteError(
                 f"mass band: pivot {info - 1} of the vertex complement is not positive")
@@ -161,9 +193,9 @@ class CondensedMass:
         # G's are 1 and -M_II^{-1} M_IV, so G is the CSC matrix on E's pattern
         around = np.ones((2, cells + 1, 2 * q + 1))
         around[0, 1:, :q] = work[p, p + 1 :].T
-        around[0, :-1, q + 1 :] = work[q, p + 1 :].T
-        around[1, 1:, :q] = -work[:q, p].T
-        around[1, :-1, q + 1 :] = -work[:q, q].T
+        around[0, :-1, q + 1 :] = work[0, p + 1 :].T
+        around[1, 1:, :q] = -work[1:p, p].T
+        around[1, :-1, q + 1 :] = -work[1:p, q].T
         trim = slice(q, around[0].size - q)
         # scipy keeps 32-bit indices when every column index and entry count fits
         index = np.int32 if p * (mat.n + p) < 2**31 else np.int64
@@ -172,7 +204,7 @@ class CondensedMass:
         e_ptr = (2 * q + 1) * np.arange(cells + 2, dtype=index) - q
         e_ptr[0], e_ptr[-1] = 0, e_ptr[-1] - q
         # F's interior row pc + i holds row i of the cell's M_II^{-1}
-        f_data = work[:q, p + 1 :].transpose(2, 0, 1)
+        f_data = work[1:p, p + 1 :].transpose(2, 0, 1)
         f_cols = np.repeat(p * np.arange(cells, dtype=index)[:, None]
                            + np.arange(1, p, dtype=index), q, axis=0)
         rows = np.arange(1, mat.n + 1, dtype=index)
@@ -191,6 +223,60 @@ class CondensedMass:
         x = self._g @ t_inv
         x += eb_fb[self._vertices :]
         return x
+
+
+def _condensed_solve(system: LinearSystem, sign: float) -> np.ndarray:
+    """Solve a real standard system by static condensation, one block of cells at a time.
+
+    Each block of `Mesh.cell_blocks` has its interiors eliminated with the
+    right-hand side F as the one extra column (`_eliminate_interiors`) and
+    keeps, per row of the work, the columns of the two vertices and of F.
+    One dptsv solves the vertex complement, and each block's interiors
+    follow as K_II^{-1} F_I - (K_II^{-1} K_IV) x_V.  Eliminating -K is
+    eliminating K with every vertex row negated, bit for bit, so the band is
+    read as it is and sign = -1 negates the complement's free rows, as
+    cg_solve negates the free rows of a negative definite system; the
+    identity rows of constrained ends keep their sign and value.  Every step
+    is a numpy elementwise operation, but for that one LAPACK call: no BLAS,
+    no summing reduction, so the bytes depend on neither the BLAS kernel nor
+    numpy's CPU dispatch.  A pivot that is not positive, in a cell or in the
+    complement, raises NotPositiveDefiniteError.
+    """
+    mat, rhs, layout = system.matrix, system.rhs, system.layout
+    p, cells, blocks = layout.stride, layout.cells, tuple(system.mesh.cell_blocks())
+    windows = layout.cell_windows(mat)
+    loads = rhs[:-1].reshape(cells, p)[:, 1:].T  # [i, c] is F at pc + 1 + i
+    # the work's left vertex, right vertex and F columns, [column, row, cell]
+    kept = np.empty((3, p + 1, cells))
+    for block in blocks:
+        work = _eliminate_interiors(windows, block, loads[:, None, block], sign, "standard band")
+        kept[:, :, block] = work[:, p - 1 :].transpose(1, 0, 2)
+    left, right, load = kept
+    diag = mat.diagonal()[::p].copy()
+    _add_to_vertices(diag, left[0], right[p])
+    lower = windows[p, 0] + left[p]
+    vertex_rhs = rhs[::p].copy()
+    _add_to_vertices(vertex_rhs, load[0], load[p])
+    if sign < 0:
+        for v in (diag, lower, vertex_rhs):
+            np.negative(v, out=v)
+        for end in (system.constrained // p).tolist():  # identity rows keep their sign
+            diag[end], vertex_rhs[end] = -diag[end], -vertex_rhs[end]
+    *_, x_v, info = lapack.dptsv(diag, lower, vertex_rhs, overwrite_d=1, overwrite_e=1,
+                                 overwrite_b=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"standard band: pivot {info - 1} of the vertex complement is not positive")
+    x = np.empty(mat.n)
+    x[::p] = x_v
+    inside = x[:-1].reshape(cells, p)[:, 1:].T
+    for block in blocks:  # the interior rows: K_II^{-1} F_I, less K_II^{-1} K_IV times x_V
+        by_left, by_right, inner = kept[:, 1:p, block]
+        by_left *= x_v[block]
+        by_right *= x_v[block.start + 1 : block.stop + 1]
+        np.subtract(inner, by_left, out=inside[:, block])
+        inside[:, block] -= by_right
+    return x
 
 
 def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | None = None,
@@ -223,6 +309,21 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
     raise NonConvergenceError(stage, max_iter, float(np.sqrt(rs) / b_norm), x)
 
 
+def _free_sign(system: LinearSystem) -> float | None:
+    """1.0 or -1.0 when the diagonal of the free rows has that one sign, else None.
+
+    The rows assembly constrained are identities, whose diagonal 1 is
+    positive, so the free rows are all negative when the negative entries
+    number as many as the free rows.  With no free rows the sign is 1.0.
+    """
+    diagonal, free = system.matrix.diagonal(), system.matrix.n - system.constrained.size
+    if free and np.count_nonzero(diagonal < 0) == free:
+        return -1.0
+    if np.count_nonzero(diagonal > 0) == diagonal.size:
+        return 1.0
+    return None
+
+
 def cg_solve(system: LinearSystem, tol_prm: float) -> tuple[np.ndarray, int]:
     """Conjugate gradients on a real definite (possibly negated) system.
 
@@ -244,15 +345,12 @@ def cg_solve(system: LinearSystem, tol_prm: float) -> tuple[np.ndarray, int]:
     if system.complex_valued:
         raise ValueError("CG needs a real system; use the lu solver for complex problems")
     mat, rhs, constrained = system.matrix, system.rhs, system.constrained
-    op = mat.operator()
-    diagonal = np.delete(op.diagonal(), constrained)
-    if np.all(diagonal > 0):
-        sign = 1.0  # also with no free unknowns, where CG has nothing to do
-    elif np.all(diagonal < 0):
-        sign = -1.0
-        op.data *= -1.0
-    else:
+    sign = _free_sign(system)
+    if sign is None:
         raise ValueError("diagonal of the free rows has mixed signs; CG needs a definite operator")
+    op = mat.operator()
+    if sign < 0:
+        op.data *= -1.0
     x0 = np.zeros(mat.n)
     x0[constrained] = rhs[constrained]
     return _cg_core(lambda v: op @ v, sign * rhs, tol_prm, 10 * mat.n, x0=x0)
@@ -294,15 +392,34 @@ def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarra
     return x, iters
 
 
+def _direct_solve(system: LinearSystem) -> np.ndarray:
+    """The lu solver: static condensation where it applies, else the banded LU.
+
+    A real standard system whose free diagonal has one sign is condensed
+    (`_condensed_solve`); one that meets a pivot that is not positive on the
+    way, and every complex or mixed system, goes to `BandedLU`.
+    """
+    if system.flavor == "standard" and not system.complex_valued:
+        sign = _free_sign(system)
+        if sign is not None:
+            try:
+                return _condensed_solve(system, sign)
+            except NotPositiveDefiniteError:
+                pass
+    return BandedLU(system.matrix).solve(system.rhs)
+
+
 def solve_system(system: LinearSystem, solver: str = "lu", tol_prm: float = 1e-10) -> SolveReport:
     """Solve with the named solver (one of SOLVERS); drivers go through this single entry.
 
+    `lu` condenses a real standard system whose free diagonal has one sign
+    and factors every other system with `BandedLU` (`_direct_solve`).
     wall_time covers the solver alone; rel_residual is ||F - A x|| / ||F||
     on the whole system, through `BandedMatrix.matvec`, for every solver.
     """
     start = time.perf_counter()
     if solver == "lu":
-        x, iterations = BandedLU(system.matrix).solve(system.rhs), 0
+        x, iterations = _direct_solve(system), 0
     elif solver == "cg":
         x, iterations = cg_solve(system, tol_prm)
     elif solver == "schur":

@@ -1,15 +1,21 @@
 """Solver tests: banded LU against frozen and dense oracles, the factorization
-residual PA = LU, CG with the sign read from the diagonal, the condensed mass
-solve against the banded LU, and the segregated saddle solve against the
-monolithic direct one."""
+residual PA = LU, the condensed standard solve against dense solves and
+across arithmetic settings, CG with the sign read from the diagonal, the
+condensed mass solve against the banded LU, and the segregated saddle solve
+against the monolithic direct one."""
 
 import dataclasses
+import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fem_errbal import cli, solvers
+import fem_errbal
+from fem_errbal import cli, mesh_basis, solvers
 from fem_errbal.assembly import (
     BandedMatrix,
     LinearSystem,
@@ -19,7 +25,7 @@ from fem_errbal.assembly import (
 from fem_errbal.calibration import blas_kernel
 from fem_errbal.mesh_basis import build_mesh
 from fem_errbal.prediction import brute_force_sweep, frame_variable, solve_level
-from fem_errbal.problem import CATALOG_NAMES, catalog
+from fem_errbal.problem import CATALOG_NAMES, _const_real, catalog
 from fem_errbal.solvers import (
     BandedLU,
     CondensedMass,
@@ -27,6 +33,8 @@ from fem_errbal.solvers import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     _cg_core,
+    _condensed_solve,
+    _free_sign,
     schur_solve,
     solve_system,
 )
@@ -253,6 +261,133 @@ def _negated(mat: BandedMatrix) -> BandedMatrix:
     neg = BandedMatrix(mat.n, mat.kl, mat.ku)
     neg.ab[:] = -mat.ab
     return neg
+
+
+def _with_reaction(r: float):
+    """bench-poisson with a constant reaction coefficient r; a large positive r
+    makes the standard operator indefinite."""
+    return dataclasses.replace(catalog("bench-poisson"), r=_const_real(r))
+
+
+class TestCondensedStandard:
+    # the largest deviation from the dense solve seen over these cases is
+    # 2.3e-12 relative (bench-diffusion p=5, level 6, condition number 5e5),
+    # well inside condition number times the unit roundoff
+    BOUND = 1e-11
+
+    @pytest.mark.parametrize(("name", "coefficient"), REAL_PROBLEMS)
+    def test_agrees_with_dense_solve(self, name, coefficient):
+        spec = catalog(name) if coefficient is None else catalog(name, coefficient)
+        for p in range(1, 6):
+            for level in (0, 3, 6):
+                system = assemble_standard(spec, build_mesh(level), p)
+                sign = _free_sign(system)
+                assert sign is not None
+                x = solve_system(system).x
+                assert x.tobytes() == _condensed_solve(system, sign).tobytes()  # lu condensed
+                dense = np.linalg.solve(to_dense(system.matrix), system.rhs)
+                assert np.linalg.norm(x - dense) <= self.BOUND * np.linalg.norm(dense)
+
+    def test_ends_keep_their_identity_rows(self):
+        # bench-poisson's Dirichlet ends come out as their right-hand side values exactly
+        system = assemble_standard(catalog("bench-poisson"), build_mesh(5), 3)
+        x = solve_system(system).x
+        assert x[system.constrained].tobytes() == system.rhs[system.constrained].tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_blocks_give_the_bits_of_one_block(self, p, monkeypatch):
+        # 128 cells are one block of Mesh.cell_blocks by default and sixteen
+        # blocks of 8 here: the vertex sums add each cell's left contribution
+        # first either way
+        system = assemble_standard(catalog("bench-diffusion"), build_mesh(7), p)
+        x = solve_system(system).x
+        monkeypatch.setattr(mesh_basis, "QUADRATURE_BLOCK", 8)
+        assert len(list(system.mesh.cell_blocks())) == 16
+        assert solve_system(system).x.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize(("spec", "flavor", "p", "level"), [
+        (catalog("bench-poisson"), "mixed", 3, 4),
+        (catalog("bench-helmholtz"), "standard", 2, 4),
+        (_with_reaction(1e4), "standard", 3, 4),  # a free diagonal of mixed signs
+    ], ids=["mixed", "complex", "indefinite"])
+    def test_other_systems_get_the_banded_lu(self, spec, flavor, p, level):
+        assemble = assemble_standard if flavor == "standard" else assemble_mixed
+        system = assemble(spec, build_mesh(level), p)
+        if flavor == "standard" and not system.complex_valued:
+            assert _free_sign(system) is None
+        x = solve_system(system).x
+        assert x.tobytes() == BandedLU(system.matrix).solve(system.rhs).tobytes()
+
+    @pytest.mark.parametrize(("r", "p", "level", "sign", "where"), [
+        (10.0, 4, 0, -1.0, "interior pivot 2 of a cell"),
+        (10.0, 2, 4, -1.0, "pivot 15 of the vertex complement"),
+        (100.0, 4, 0, 1.0, "interior pivot 2 of a cell"),
+    ])
+    def test_non_positive_pivot_falls_back_to_the_banded_lu(self, r, p, level, sign, where):
+        # these reactions keep the free diagonal of one sign but make the
+        # operator indefinite, and leave it far from singular (condition
+        # numbers 71 to 4.2e4), so the banded LU meets no zero pivot under any
+        # kernel: the elimination meets a pivot of the wrong sign
+        system = assemble_standard(_with_reaction(r), build_mesh(level), p)
+        assert _free_sign(system) == sign
+        with pytest.raises(NotPositiveDefiniteError, match=f"standard band: {where} is not positive"):
+            _condensed_solve(system, sign)
+        x = solve_system(system).x
+        assert x.tobytes() == BandedLU(system.matrix).solve(system.rhs).tobytes()
+
+
+# hashes of bench-poisson standard solutions, solved as solve_level solves them
+# (own) and from the systems assembled in the test process (given)
+_HASH_SCRIPT = """
+import dataclasses, hashlib, sys
+import numpy as np
+from fem_errbal.calibration import blas_kernel
+from fem_errbal.prediction import solve_level
+from fem_errbal.problem import catalog
+from fem_errbal.solvers import solve_system
+systems = np.load(sys.argv[1])
+own, given = hashlib.sha256(), hashlib.sha256()
+for p in range(1, 6):
+    for level in (2, 6, 10):
+        system, report = solve_level(catalog("bench-poisson"), "standard", p, level)
+        own.update(report.x.tobytes())
+        system.matrix.ab[...] = systems[f"ab_{p}_{level}"]
+        system = dataclasses.replace(system, rhs=systems[f"rhs_{p}_{level}"])
+        given.update(solve_system(system).x.tobytes())
+print(blas_kernel(), own.hexdigest(), given.hexdigest())
+"""
+
+
+@pytest.mark.parametrize(("variable", "value"), [
+    ("OPENBLAS_CORETYPE", "Haswell"),
+    ("NPY_DISABLE_CPU_FEATURES", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"),
+])
+def test_standard_solution_bytes_do_not_depend_on_the_arithmetic(variable, value, tmp_path):
+    # the condensed solve makes no BLAS call and no summing reduction, so a
+    # child process under another BLAS kernel or under numpy's baseline loops
+    # solves bench-poisson's standard systems to the same bytes.  numpy's
+    # baseline np.exp rounds the load differently, so under those loops the
+    # child's own assembly gives other systems; it solves the ones assembled
+    # here instead, and its own solutions are compared only under the kernel
+    systems, digest = {}, hashlib.sha256()
+    for p in range(1, 6):
+        for level in (2, 6, 10):
+            system, report = solve_level(catalog("bench-poisson"), "standard", p, level)
+            systems[f"ab_{p}_{level}"], systems[f"rhs_{p}_{level}"] = system.matrix.ab, system.rhs
+            digest.update(report.x.tobytes())
+    np.savez(tmp_path / "systems.npz", **systems)
+    env = dict(os.environ, **{variable: value})
+    src = str(Path(fem_errbal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, str(tmp_path / "systems.npz")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    kernel, own, given = done.stdout.split()
+    assert given == digest.hexdigest()
+    if variable == "OPENBLAS_CORETYPE":
+        if kernel != value:
+            pytest.skip(f"the child ran the {kernel} BLAS kernel, not {value}")
+        assert own == digest.hexdigest()
 
 
 class TestCondensedMass:

@@ -11,8 +11,12 @@ PYTHONPATH) and `perfbench/run.py` on the chosen workload, one child process
 at a time.  The variables are set in each child's environment only.  It
 prints one row per setting: the kernel the test run reports, the tier-1
 pass/fail counts, the workload's fingerprint, its failed operations and
-e_min_gap_dec, then the tests and operations that failed.  The rows are the
-kernel matrix that a change moving a round-off floor records.
+e_min_gap_dec, then, for every setting but the default, the operations whose
+digests differ from the default run's, then the tests and operations that
+failed.  The digests come from the run's record,
+`perfbench/results/<workload>-seed<n>-trace0.json`, read before the next
+setting's run overwrites it.  The rows are the kernel matrix that a change
+moving a round-off floor records.
 """
 
 from __future__ import annotations
@@ -71,12 +75,14 @@ def bench(setting: str, workload: str, seed: int, seconds: float) -> dict:
         last = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"fingerprint": "run failed", "stable": "?", "ops": "?", "gap": float("nan"),
-                "failures": lines[-5:]}
+                "digests": {}, "failures": lines[-5:]}
+    record = ROOT / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
     return {
         "fingerprint": fingerprint.group(1)[:16] if fingerprint else "?",
         "stable": fingerprint.group(2) if fingerprint else "?",
         "ops": f"{last['failed']}/{last['attempted']}",
         "gap": last["metrics"]["e_min_gap_dec"]["value"],
+        "digests": json.loads(record.read_text())["op_digests"],
         "failures": [ln for ln in lines if ln.startswith("FAILED ")],
     }
 
@@ -96,6 +102,12 @@ def main(argv=None) -> int:
     for setting, tests, run in rows:
         print(f"| {setting} | {tests['kernel']} | {tests['counts']} | "
               f"{run['fingerprint']} | {run['stable']} | {run['ops']} | {run['gap']:.4f} |")
+    default = rows[0][2]["digests"]
+    for setting, _, run in rows[1:]:
+        moved = sorted(op for op in default.keys() | run["digests"].keys()
+                       if default.get(op) != run["digests"].get(op))
+        print(f"{setting}: {len(moved)} of {len(default)} operation digests differ from default"
+              + "".join(f"\n  {op}" for op in moved))
     for setting, tests, run in rows:
         for line in tests["failures"] + run["failures"]:
             print(f"{setting}: {line}")
