@@ -15,8 +15,11 @@ is complex, and the banded LU factors it in that dtype.
 
 Weak statements, with n the outward normal and (.,.) the L2 pairing:
 
-  standard:  -(eta_x, D u_x) + (eta, r u) = (eta, f) - (eta, D h n)_GN
+  standard:  (eta_x, D u_x) - (eta, r u) = -(eta, f) + (eta, D h n)_GN
              Dirichlet data strong: identity row + symmetric column purge.
+             With this sign the band of every real catalog problem is
+             positive definite (D > 0, and r small against the stiffness),
+             and the Dirichlet rows are +1 identities.
   mixed:     v = -u_x;  (w, v) - (w_x, u) = -(w, g n)_GD
              -(q, D_x v) - (q, D v_x) + (q, r u) = (q, f)
              Neumann data enters the v-space strongly (v = -h), Dirichlet data
@@ -91,11 +94,9 @@ class BandedMatrix:
 
         It holds its own copy of the kl + ku + 1 stored diagonals in ascending
         offset order, the order in which `matvec` adds them, so each row sum
-        of a real product rounds as `matvec`'s does.  Negating its data in
-        place is exact: the product is then -matvec(x) bit for bit, but for
-        the sign of an exactly zero entry.  A complex product can differ from
-        `matvec`'s in its last bit where numpy's complex multiply fuses
-        (FMA); this one rounds each real product.
+        of a real product rounds as `matvec`'s does.  A complex product can
+        differ from `matvec`'s in its last bit where numpy's complex multiply
+        fuses (FMA); this one rounds each real product.
         """
         data = self.ab[self.kl :][::-1].copy()
         return sp.dia_matrix((data, np.arange(-self.kl, self.ku + 1)), shape=(self.n, self.n))
@@ -315,11 +316,12 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     x_q = mesh.quadrature_points(quad.points)
 
     dv = np.asarray(spec.D(x_q), dtype=dtype)
-    ke = -(1.0 / h) * _cell_integrals(dv, quad.weights, dphi, dphi)
+    ke = (1.0 / h) * _cell_integrals(dv, quad.weights, dphi, dphi)
     rv = np.asarray(spec.r(x_q), dtype=dtype)
     if np.any(rv != 0):
-        ke = ke + h * _cell_integrals(rv, quad.weights, phi, phi)
+        ke = ke - h * _cell_integrals(rv, quad.weights, phi, phi)
     fe = _cell_loads(spec, mesh, x_q, quad.weights, u, dtype)
+    np.negative(fe, out=fe)  # -(eta, f), in place
 
     mat, rhs = layout.empty_system(dtype)
     layout.add_blocks(mat, ke, u, u)
@@ -331,7 +333,7 @@ def assemble_standard(spec: ProblemSpec, mesh: Mesh, p: int) -> LinearSystem:
     for bc, bdof in ends:
         if bc.kind == "neumann":
             d_here = np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0]
-            rhs[bdof] -= d_here * bc.value * bc.normal
+            rhs[bdof] += d_here * bc.value * bc.normal
     constrained = []
     for bc, bdof in ends:
         if bc.kind == "dirichlet":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,24 +65,30 @@ def fit_floor(curve: ErrorCurve) -> FloorFit:
     """Fit the post-minimum branch of an error curve in log-log space.
 
     Needs at least three records past the minimum, all with positive error.
+    The slope and intercept are the closed-form least-squares ones, summed
+    exactly (`math.fsum`), so the fit depends on no BLAS or LAPACK kernel.
     """
     post = curve.post_min_records()
     if len(post) < 3:
         raise ValueError(
             f"floor fit needs at least 3 records past the minimum, got {len(post)}"
         )
-    values = np.array([r.value for r in post], dtype=float)
-    if np.any(values <= 0):
+    if any(r.value <= 0 for r in post):
         raise ValueError("floor fit needs positive error values past the minimum")
-    log_n = np.log10([r.n_dof for r in post])
-    log_e = np.log10(values)
-    slope, intercept = np.polyfit(log_n, log_e, 1)
-    if not (np.isfinite(slope) and np.isfinite(intercept)):
+    log_n = [math.log10(r.n_dof) for r in post]
+    log_e = [math.log10(r.value) for r in post]
+    mean_n, mean_e = math.fsum(log_n) / len(post), math.fsum(log_e) / len(post)
+    dev_n = [x - mean_n for x in log_n]
+    slope = (math.fsum(d * (y - mean_e) for d, y in zip(dev_n, log_e))
+             / math.fsum(d * d for d in dev_n))
+    intercept = mean_e - slope * mean_n
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
         raise ValueError("floor fit did not produce finite parameters")
-    rms = float(np.sqrt(np.mean((log_e - (slope * log_n + intercept)) ** 2)))
+    rms = math.sqrt(math.fsum((y - (slope * x + intercept)) ** 2
+                              for x, y in zip(log_n, log_e)) / len(post))
     return FloorFit(
-        alpha_R_hat=float(10.0**intercept),
-        beta_R_hat=float(slope),
+        alpha_R_hat=10.0**intercept,
+        beta_R_hat=slope,
         point_count=len(post),
         residual=rms,
     )
@@ -288,8 +295,6 @@ def sensitivity_suite(
                                   rise_streak=streak, solver=solver, tol_prm=tol_prm)
         try:
             fit, note = fit_floor(curve), ""
-        except np.linalg.LinAlgError:  # a ValueError, but a numerical failure, not a refusal
-            raise
         except ValueError as err:
             fit, note = None, str(err)
         run = CalibrationRun(suite=kind, label=label, problem=spec.label, flavor=flv, p=p,

@@ -397,8 +397,8 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         sp.add_argument("--solver", type=partial(_choice, name="--solver", allowed=SOLVERS),
                         default="lu",
                         help="lu | cg | schur (default lu: static condensation for real "
-                             "standard systems whose free diagonal has one sign, banded LU "
-                             "for every other system)")
+                             "standard systems with a positive diagonal, banded LU for every "
+                             "other system)")
         sp.add_argument("--tol-prm", type=partial(_parse_positive, name="--tol-prm"),
                         default=1e-10,
                         help="iterative solver tolerance")

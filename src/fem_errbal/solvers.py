@@ -1,31 +1,31 @@
 """Direct and iterative solvers for the assembled systems.
 
-The direct path, `lu`, solves a real standard system by static
-condensation when the diagonal of its free rows has one sign: the cell
-interiors are eliminated one block of cells at a time with the right-hand
-side carried along, one dptsv (LAPACK's tridiagonal LDL^T) solves the
-vertex complement, and the interiors are back-substituted.  Every step is
-numpy elementwise arithmetic or that one scalar LAPACK call, so its bytes
-depend on neither the BLAS kernel nor numpy's CPU dispatch.  Complex and
-mixed systems, a free diagonal of mixed signs, and a system that meets a
-pivot that is not positive go to a banded LU with partial pivoting
-(LAPACK gbtrf/gbtrs) in the band's own dtype: dgbtrf for real systems,
-zgbtrf for complex ones.  Its upper bandwidth grows by the lower bandwidth
-during pivoting, and no iterative refinement is applied.  The iterative
-path is plain conjugate gradients with the stopping rule
-||F - A x||_2 <= tol_prm ||F||_2, for real systems only.  It takes the
-identity rows of strongly imposed boundary values from assembly
-(`LinearSystem.constrained`), and the sign of the operator from the diagonal
-of the remaining rows: the standard operator is negative definite by
-construction, so the system is negated before iterating.  CG's products run
-through the band's DIA operator (`BandedMatrix.operator`), built once per
-solve, which gives the bits of `BandedMatrix.matvec`.  Mixed saddle systems
-can alternatively be solved segregated: an outer CG on the Schur complement
-C M^{-1} B (C = B^T exactly, applied as B.T) with a three-step matvec, then
-a mass solve recovers v.  Its mass solves use `CondensedMass`, the same
-elimination of the cell interiors on the continuous mass band, all cells at
-once, with a tridiagonal LDL^T (LAPACK pttrf/pttrs) for the vertices, so no
-step calls BLAS.  Each solver returns its solution and iteration count;
+Assembly makes every real definite band it builds positive definite, the
+standard operator and Schur's mass band alike, so no solver knows a sign.
+The direct path, `lu`, solves a real standard system with a positive
+diagonal by static condensation: the cell interiors are eliminated one
+block of cells at a time with the right-hand side carried along, one dptsv
+(LAPACK's tridiagonal LDL^T) solves the vertex complement, and the
+interiors are back-substituted.  Every step is numpy elementwise
+arithmetic or that one scalar LAPACK call, so its bytes depend on neither
+the BLAS kernel nor numpy's CPU dispatch.  Complex and mixed systems, a
+diagonal that is not positive, and a system that meets a pivot that is not
+positive go to a banded LU with partial pivoting (LAPACK gbtrf/gbtrs) in
+the band's own dtype: dgbtrf for real systems, zgbtrf for complex ones.
+Its upper bandwidth grows by the lower bandwidth during pivoting, and no
+iterative refinement is applied.  The iterative path is plain conjugate
+gradients with the stopping rule ||F - A x||_2 <= tol_prm ||F||_2, for
+real systems with a positive diagonal only.  It takes the identity rows of
+strongly imposed boundary values from assembly
+(`LinearSystem.constrained`).  CG's products run through the band's DIA
+operator (`BandedMatrix.operator`), built once per solve, which gives the
+bits of `BandedMatrix.matvec`.  Mixed saddle systems can alternatively be
+solved segregated: an outer CG on the Schur complement C M^{-1} B (C = B^T
+exactly, applied as B.T) with a three-step matvec, then a mass solve
+recovers v.  Its mass solves use `CondensedMass`, the same elimination of
+the cell interiors on the continuous mass band, all cells at once, with a
+tridiagonal LDL^T (LAPACK pttrf/pttrs) for the vertices, so no step calls
+BLAS.  Each solver returns its solution and iteration count;
 `solve_system` times it and measures ||F - A x|| / ||F|| through
 `BandedMatrix.matvec`, the same residual whichever solver ran.
 """
@@ -51,7 +51,7 @@ class SingularMatrixError(RuntimeError):
 
 
 class NotPositiveDefiniteError(RuntimeError):
-    """A mass band that static condensation found not positive definite."""
+    """A band that static condensation found not positive definite."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -108,7 +108,7 @@ class BandedLU:
         return np.ascontiguousarray(x[:, 0])
 
 
-def _eliminate_interiors(windows: np.ndarray, cells: slice, extra: np.ndarray, sign: float,
+def _eliminate_interiors(windows: np.ndarray, cells: slice, extra: np.ndarray,
                          band: str) -> np.ndarray:
     """Gauss-Jordan on the interior pivots of the cells in the slice, all at once.
 
@@ -122,8 +122,8 @@ def _eliminate_interiors(windows: np.ndarray, cells: slice, extra: np.ndarray, s
     from the band as assembled, so no vertex-vertex entry is read here.
     Elimination leaves [I, K_II^{-1} K_IV, K_II^{-1} X] in the interior rows
     and [0, -K_VI K_II^{-1} K_IV, -K_VI K_II^{-1} X] in the vertex rows, for
-    the cell blocks K and extra columns X.  No pivoting: every pivot times
-    sign must be positive, as it is in a definite band, or
+    the cell blocks K and extra columns X.  No pivoting: every pivot must be
+    positive, as it is in a positive definite band, or
     NotPositiveDefiniteError names the band.  Each column is updated by
     elementwise operations of its own, so extra's columns do not change the
     bits of the others.
@@ -137,7 +137,7 @@ def _eliminate_interiors(windows: np.ndarray, cells: slice, extra: np.ndarray, s
     for k in range(q):
         factor, row = work[:, k : k + 1].copy(), work[k + 1, k:]
         pivot = factor[k + 1, 0]  # divides the pivot row before the factor's zero is set
-        if not (pivot.min() > 0 if sign > 0 else pivot.max() < 0):
+        if not pivot.min() > 0:
             raise NotPositiveDefiniteError(f"{band}: interior pivot {k} of a cell is not positive")
         row /= pivot
         factor[k + 1] = 0.0
@@ -178,7 +178,7 @@ class CondensedMass:
         p = mat.kl  # a cell's vertices are p apart
         q, cells = p - 1, (mat.n - 1) // p
         windows = DofLayout(p, cells, {}).cell_windows(mat)
-        work = _eliminate_interiors(windows, slice(None), np.eye(q)[:, :, None], 1.0, "mass band")
+        work = _eliminate_interiors(windows, slice(None), np.eye(q)[:, :, None], "mass band")
         diag = mat.diagonal()[::p].copy()
         _add_to_vertices(diag, work[0, q], work[p, p])
         d, e, info = lapack.dpttrf(diag, windows[p, 0] + work[p, q])
@@ -225,19 +225,16 @@ class CondensedMass:
         return x
 
 
-def _condensed_solve(system: LinearSystem, sign: float) -> np.ndarray:
+def _condensed_solve(system: LinearSystem) -> np.ndarray:
     """Solve a real standard system by static condensation, one block of cells at a time.
 
     Each block of `Mesh.cell_blocks` has its interiors eliminated with the
     right-hand side F as the one extra column (`_eliminate_interiors`) and
     keeps, per row of the work, the columns of the two vertices and of F.
     One dptsv solves the vertex complement, and each block's interiors
-    follow as K_II^{-1} F_I - (K_II^{-1} K_IV) x_V.  Eliminating -K is
-    eliminating K with every vertex row negated, bit for bit, so the band is
-    read as it is and sign = -1 negates the complement's free rows, as
-    cg_solve negates the free rows of a negative definite system; the
-    identity rows of constrained ends keep their sign and value.  Every step
-    is a numpy elementwise operation, but for that one LAPACK call: no BLAS,
+    follow as K_II^{-1} F_I - (K_II^{-1} K_IV) x_V.  A constrained end's
+    identity row enters the vertex complement as assembled.  Every step is a
+    numpy elementwise operation, but for that one LAPACK call: no BLAS,
     no summing reduction, so the bytes depend on neither the BLAS kernel nor
     numpy's CPU dispatch.  A pivot that is not positive, in a cell or in the
     complement, raises NotPositiveDefiniteError.
@@ -249,7 +246,7 @@ def _condensed_solve(system: LinearSystem, sign: float) -> np.ndarray:
     # the work's left vertex, right vertex and F columns, [column, row, cell]
     kept = np.empty((3, p + 1, cells))
     for block in blocks:
-        work = _eliminate_interiors(windows, block, loads[:, None, block], sign, "standard band")
+        work = _eliminate_interiors(windows, block, loads[:, None, block], "standard band")
         kept[:, :, block] = work[:, p - 1 :].transpose(1, 0, 2)
     left, right, load = kept
     diag = mat.diagonal()[::p].copy()
@@ -257,11 +254,6 @@ def _condensed_solve(system: LinearSystem, sign: float) -> np.ndarray:
     lower = windows[p, 0] + left[p]
     vertex_rhs = rhs[::p].copy()
     _add_to_vertices(vertex_rhs, load[0], load[p])
-    if sign < 0:
-        for v in (diag, lower, vertex_rhs):
-            np.negative(v, out=v)
-        for end in (system.constrained // p).tolist():  # identity rows keep their sign
-            diag[end], vertex_rhs[end] = -diag[end], -vertex_rhs[end]
     *_, x_v, info = lapack.dptsv(diag, lower, vertex_rhs, overwrite_d=1, overwrite_e=1,
                                  overwrite_b=1)
     if info > 0:
@@ -309,51 +301,32 @@ def _cg_core(matvec, b: np.ndarray, tol: float, max_iter: int, x0: np.ndarray | 
     raise NonConvergenceError(stage, max_iter, float(np.sqrt(rs) / b_norm), x)
 
 
-def _free_sign(system: LinearSystem) -> float | None:
-    """1.0 or -1.0 when the diagonal of the free rows has that one sign, else None.
-
-    The rows assembly constrained are identities, whose diagonal 1 is
-    positive, so the free rows are all negative when the negative entries
-    number as many as the free rows.  With no free rows the sign is 1.0.
-    """
-    diagonal, free = system.matrix.diagonal(), system.matrix.n - system.constrained.size
-    if free and np.count_nonzero(diagonal < 0) == free:
-        return -1.0
-    if np.count_nonzero(diagonal > 0) == diagonal.size:
-        return 1.0
-    return None
-
-
 def cg_solve(system: LinearSystem, tol_prm: float) -> tuple[np.ndarray, int]:
-    """Conjugate gradients on a real definite (possibly negated) system.
+    """Conjugate gradients on a real positive definite system.
 
     A complex system is refused before iterating: its operator is complex
     symmetric, not Hermitian.  The rows assembly constrained are identities;
     seeding the iterate with their values keeps the Krylov space inside the
-    free rows.  The diagonal entries of a definite operator are its Rayleigh
-    quotients on the unit vectors, so the free rows' diagonal gives its sign;
-    mixed signs, such as a saddle's zero u-diagonal, are rejected.  An
-    indefinite operator whose diagonal has one sign is not caught here: CG
-    raises NonConvergenceError, naming the breakdown, when it meets it.
+    free rows.  The diagonal entries of a positive definite operator are its
+    Rayleigh quotients on the unit vectors, so a diagonal that is not
+    positive, such as a saddle's zero u-diagonal, is rejected.  An indefinite
+    operator with a positive diagonal is not caught here: CG raises
+    NonConvergenceError, naming the breakdown, when it meets it.
 
     Every product goes through the band's DIA operator
-    (`BandedMatrix.operator`), built once per solve; a negative definite one
-    has its data negated in place.  It adds the diagonals in
-    `BandedMatrix.matvec`'s order and negation is exact, so CG takes the
-    same iterates as through sign times `matvec`.
+    (`BandedMatrix.operator`), built once per solve.  It adds the diagonals
+    in `BandedMatrix.matvec`'s order, so CG takes the same iterates as
+    through `matvec`.
     """
     if system.complex_valued:
         raise ValueError("CG needs a real system; use the lu solver for complex problems")
     mat, rhs, constrained = system.matrix, system.rhs, system.constrained
-    sign = _free_sign(system)
-    if sign is None:
-        raise ValueError("diagonal of the free rows has mixed signs; CG needs a definite operator")
+    if not np.all(mat.diagonal() > 0):
+        raise ValueError("diagonal is not positive; CG needs a positive definite operator")
     op = mat.operator()
-    if sign < 0:
-        op.data *= -1.0
     x0 = np.zeros(mat.n)
     x0[constrained] = rhs[constrained]
-    return _cg_core(lambda v: op @ v, sign * rhs, tol_prm, 10 * mat.n, x0=x0)
+    return _cg_core(lambda v: op @ v, rhs, tol_prm, 10 * mat.n, x0=x0)
 
 
 def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarray, int]:
@@ -395,25 +368,24 @@ def schur_solve(system: LinearSystem, tol_prm: float = 1e-10) -> tuple[np.ndarra
 def _direct_solve(system: LinearSystem) -> np.ndarray:
     """The lu solver: static condensation where it applies, else the banded LU.
 
-    A real standard system whose free diagonal has one sign is condensed
+    A real standard system with a positive diagonal is condensed
     (`_condensed_solve`); one that meets a pivot that is not positive on the
     way, and every complex or mixed system, goes to `BandedLU`.
     """
-    if system.flavor == "standard" and not system.complex_valued:
-        sign = _free_sign(system)
-        if sign is not None:
-            try:
-                return _condensed_solve(system, sign)
-            except NotPositiveDefiniteError:
-                pass
+    if (system.flavor == "standard" and not system.complex_valued
+            and np.all(system.matrix.diagonal() > 0)):
+        try:
+            return _condensed_solve(system)
+        except NotPositiveDefiniteError:
+            pass
     return BandedLU(system.matrix).solve(system.rhs)
 
 
 def solve_system(system: LinearSystem, solver: str = "lu", tol_prm: float = 1e-10) -> SolveReport:
     """Solve with the named solver (one of SOLVERS); drivers go through this single entry.
 
-    `lu` condenses a real standard system whose free diagonal has one sign
-    and factors every other system with `BandedLU` (`_direct_solve`).
+    `lu` condenses a real standard system with a positive diagonal and
+    factors every other system with `BandedLU` (`_direct_solve`).
     wall_time covers the solver alone; rel_residual is ||F - A x|| / ||F||
     on the whole system, through `BandedMatrix.matvec`, for every solver.
     """

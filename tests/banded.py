@@ -122,10 +122,10 @@ def add_at_assembly(spec, mesh, p: int, flavor: str):
 
     if flavor == "standard":
         m = p * t + 1
-        ke = -(1.0 / h) * integrals("D", dphi, dphi)
+        ke = (1.0 / h) * integrals("D", dphi, dphi)
         if np.any(coef["r"] != 0):
-            ke = ke + h * integrals("r", phi, phi)
-        fe = h * np.einsum("cq,qi->ci", quad.weights[None, :] * coef["f"], basis_table(p, True, n_quad, 0))
+            ke = ke - h * integrals("r", phi, phi)
+        fe = -h * np.einsum("cq,qi->ci", quad.weights[None, :] * coef["f"], basis_table(p, True, n_quad, 0))
         gdof = cell_dofs(p, t)
         mat = BandedMatrix(m, p, p, dtype=dtype)
         _scatter(mat, gdof, gdof, ke)
@@ -134,7 +134,7 @@ def add_at_assembly(spec, mesh, p: int, flavor: str):
         for bc in (spec.bc_left, spec.bc_right):
             if bc.kind == "neumann":
                 bdof = 0 if bc.side == "left" else m - 1
-                rhs[bdof] -= np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0] * bc.value * bc.normal
+                rhs[bdof] += np.asarray(spec.D(np.array([bc.location])), dtype=dtype)[0] * bc.value * bc.normal
         for bc in (spec.bc_left, spec.bc_right):
             if bc.kind == "dirichlet":
                 eliminate_dirichlet(mat, rhs, 0 if bc.side == "left" else m - 1, bc.value)

@@ -55,6 +55,30 @@ class TestFitFloor:
             assert fit.alpha_R_hat == pytest.approx(alpha, rel=1e-9)
             assert fit.beta_R_hat == pytest.approx(beta, abs=1e-9)
 
+    def test_exact_power_law_recovered_in_closed_form(self):
+        # E = 2^-60 N^2 on N = 2^k + 1: the closed-form fit, summed exactly,
+        # comes back with the law's parameters to a few units of roundoff
+        ns = 2 ** np.arange(3, 20) + 1
+        alpha, beta = 2.0**-60, 2.0
+        fit = fit_floor(_curve(ns, alpha * ns.astype(float) ** beta))
+        assert fit.alpha_R_hat == pytest.approx(alpha, rel=1e-13)
+        assert fit.beta_R_hat == pytest.approx(beta, rel=1e-14)
+        assert fit.residual <= 1e-15
+
+    @pytest.mark.parametrize(("flavor", "p", "n_max"), [("standard", 2, 524_289),
+                                                       ("mixed", 4, 131_072)])
+    def test_agrees_with_polyfit_on_the_floor_sweep_curves(self, flavor, p, n_max):
+        # the floor-sweep benchmark's two curves: the closed form and numpy's
+        # least-squares line (LAPACK) differ only in their last bits
+        curve = brute_force_sweep(catalog("bench-poisson"), flavor, p, "u", n_max=n_max,
+                                  rise_streak=None)
+        fit = fit_floor(curve)
+        post = curve.post_min_records()
+        slope, intercept = np.polyfit(np.log10([r.n_dof for r in post]),
+                                      np.log10([r.value for r in post]), 1)
+        assert fit.beta_R_hat == pytest.approx(slope, rel=1e-12)
+        assert fit.alpha_R_hat == pytest.approx(10.0**intercept, rel=1e-12)
+
     def test_minimum_record_is_excluded(self):
         # dip one record far below the law; exact recovery from the rest
         # proves the fit starts strictly after the minimum

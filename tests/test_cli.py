@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fem_errbal import calibration, cli, prediction
+from fem_errbal import cli, prediction
 from fem_errbal.cli import (
     ConfigError,
     _parse_config_file,
@@ -443,19 +443,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "sensitivity_suite", failing_calibration)
         code = main(["calibrate", "--suite", "solver", "--out-dir", str(tmp_path)])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: SVD did not converge in Linear Least Squares\n")
-
-    def test_floor_fit_linalg_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
-        # the suite notes fit_floor's own refusals (ValueError) and goes on,
-        # but a LinAlgError from inside the fit is a numerical failure
-        def failing_fit(curve):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-        monkeypatch.setattr(calibration, "fit_floor", failing_fit)
-        code = main(["calibrate", "--suite", "solver", "--var", "u", "--n-max", "300",
-                     "--out-dir", str(tmp_path)])
         assert code == 3
         assert capsys.readouterr().err == (
             "numerical failure: SVD did not converge in Linear Least Squares\n")

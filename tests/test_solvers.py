@@ -1,7 +1,7 @@
 """Solver tests: banded LU against frozen and dense oracles, the factorization
 residual PA = LU, the condensed standard solve against dense solves and
-across arithmetic settings, CG with the sign read from the diagonal, the
-condensed mass solve against the banded LU, and the segregated saddle solve
+across arithmetic settings, CG on the positive definite standard operator,
+the condensed mass solve against the banded LU, and the segregated saddle solve
 against the monolithic direct one."""
 
 import dataclasses
@@ -34,7 +34,6 @@ from fem_errbal.solvers import (
     SingularMatrixError,
     _cg_core,
     _condensed_solve,
-    _free_sign,
     schur_solve,
     solve_system,
 )
@@ -135,8 +134,8 @@ class TestBandedLU:
 
 
 class TestConjugateGradients:
-    def test_matches_lu_after_negation(self):
-        # the standard operator is negative definite, so CG must negate it
+    def test_matches_lu(self):
+        # the standard operator is assembled positive definite
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(5), p=2)
         direct = solve_system(system)
@@ -160,7 +159,7 @@ class TestConjugateGradients:
         x2 = solve_system(system, "cg", tol_prm=1e-12).x
         assert np.array_equal(x1, x2)
 
-    def test_positive_definite_runs_unflipped(self):
+    def test_synthetic_positive_definite_system(self):
         # mass-like SPD tridiagonal wrapped as a system
         n = 17
         a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
@@ -180,7 +179,7 @@ class TestConjugateGradients:
     def test_probe_rejects_saddle(self):
         spec = catalog("case5", coefficient=1.0)
         system = assemble_mixed(spec, build_mesh(3), p=2)
-        with pytest.raises(ValueError, match="mixed signs"):
+        with pytest.raises(ValueError, match="diagonal is not positive"):
             solve_system(system, "cg", tol_prm=1e-10)
 
     def test_no_free_unknowns_returns_the_boundary_values(self):
@@ -193,12 +192,12 @@ class TestConjugateGradients:
     def test_nonconvergence_carries_state(self):
         spec = catalog("bench-poisson")
         system = assemble_standard(spec, build_mesh(6), p=2)
-        # CG on the negated operator, seeded with the boundary values as
-        # cg_solve does, stopped after three iterations
+        # CG seeded with the boundary values as cg_solve does, stopped after
+        # three iterations
         x0 = np.zeros(system.n_unknowns)
         x0[system.constrained] = system.rhs[system.constrained]
         with pytest.raises(NonConvergenceError) as err:
-            _cg_core(lambda v: -system.matrix.matvec(v), -system.rhs, 1e-14, 3, x0=x0)
+            _cg_core(system.matrix.matvec, system.rhs, 1e-14, 3, x0=x0)
         assert err.value.iterations == 3
         assert err.value.best_x.shape == system.rhs.shape
         assert err.value.residual > 0
@@ -217,12 +216,12 @@ class TestConjugateGradients:
 
     @staticmethod
     def _through_matvec(system, tol):
-        """CG driven by -matvec, seeded as cg_solve seeds it, with its
+        """CG driven by matvec, seeded as cg_solve seeds it, with its
         relative residual ||F - A x|| / ||F||."""
         x0 = np.zeros(system.n_unknowns)
         x0[system.constrained] = system.rhs[system.constrained]
         mat, rhs = system.matrix, system.rhs
-        x, iters = _cg_core(lambda v: -mat.matvec(v), -rhs, tol, 10 * mat.n, x0=x0)
+        x, iters = _cg_core(mat.matvec, rhs, tol, 10 * mat.n, x0=x0)
         return x, iters, np.linalg.norm(rhs - mat.matvec(x)) / np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("name,coefficient", [
@@ -265,7 +264,8 @@ def _negated(mat: BandedMatrix) -> BandedMatrix:
 
 def _with_reaction(r: float):
     """bench-poisson with a constant reaction coefficient r; a large positive r
-    makes the standard operator indefinite."""
+    makes the standard operator indefinite, and a larger one its diagonal
+    negative."""
     return dataclasses.replace(catalog("bench-poisson"), r=_const_real(r))
 
 
@@ -281,10 +281,9 @@ class TestCondensedStandard:
         for p in range(1, 6):
             for level in (0, 3, 6):
                 system = assemble_standard(spec, build_mesh(level), p)
-                sign = _free_sign(system)
-                assert sign is not None
+                assert (system.matrix.diagonal() > 0).all()
                 x = solve_system(system).x
-                assert x.tobytes() == _condensed_solve(system, sign).tobytes()  # lu condensed
+                assert x.tobytes() == _condensed_solve(system).tobytes()  # lu condensed
                 dense = np.linalg.solve(to_dense(system.matrix), system.rhs)
                 assert np.linalg.norm(x - dense) <= self.BOUND * np.linalg.norm(dense)
 
@@ -308,30 +307,40 @@ class TestCondensedStandard:
     @pytest.mark.parametrize(("spec", "flavor", "p", "level"), [
         (catalog("bench-poisson"), "mixed", 3, 4),
         (catalog("bench-helmholtz"), "standard", 2, 4),
-        (_with_reaction(1e4), "standard", 3, 4),  # a free diagonal of mixed signs
+        (_with_reaction(1e4), "standard", 3, 4),  # a diagonal of mixed signs
     ], ids=["mixed", "complex", "indefinite"])
     def test_other_systems_get_the_banded_lu(self, spec, flavor, p, level):
         assemble = assemble_standard if flavor == "standard" else assemble_mixed
         system = assemble(spec, build_mesh(level), p)
         if flavor == "standard" and not system.complex_valued:
-            assert _free_sign(system) is None
+            diagonal = system.matrix.diagonal()
+            assert (diagonal > 0).any() and (diagonal < 0).any()
         x = solve_system(system).x
         assert x.tobytes() == BandedLU(system.matrix).solve(system.rhs).tobytes()
 
-    @pytest.mark.parametrize(("r", "p", "level", "sign", "where"), [
-        (10.0, 4, 0, -1.0, "interior pivot 2 of a cell"),
-        (10.0, 2, 4, -1.0, "pivot 15 of the vertex complement"),
-        (100.0, 4, 0, 1.0, "interior pivot 2 of a cell"),
+    @pytest.mark.parametrize(("r", "p", "level", "where"), [
+        (10.0, 4, 0, "interior pivot 2 of a cell"),
+        (10.0, 2, 4, "pivot 15 of the vertex complement"),
+        (100.0, 4, 0, None),
     ])
-    def test_non_positive_pivot_falls_back_to_the_banded_lu(self, r, p, level, sign, where):
-        # these reactions keep the free diagonal of one sign but make the
-        # operator indefinite, and leave it far from singular (condition
-        # numbers 71 to 4.2e4), so the banded LU meets no zero pivot under any
-        # kernel: the elimination meets a pivot of the wrong sign
+    def test_non_positive_pivot_falls_back_to_the_banded_lu(self, r, p, level, where,
+                                                            monkeypatch):
+        # these reactions make the operator indefinite and leave it far from
+        # singular (condition numbers 71 to 4.2e4), so the banded LU meets no
+        # zero pivot under any kernel.  r = 10 keeps the diagonal positive,
+        # and the elimination meets a pivot that is not; r = 100 on one
+        # quartic cell makes every free diagonal entry negative, and lu goes
+        # straight to the banded LU
         system = assemble_standard(_with_reaction(r), build_mesh(level), p)
-        assert _free_sign(system) == sign
-        with pytest.raises(NotPositiveDefiniteError, match=f"standard band: {where} is not positive"):
-            _condensed_solve(system, sign)
+        diagonal = system.matrix.diagonal()
+        if where is None:
+            assert (np.delete(diagonal, system.constrained) < 0).all()
+            monkeypatch.setattr(solvers, "_condensed_solve", None)  # a call would raise
+        else:
+            assert (diagonal > 0).all()
+            with pytest.raises(NotPositiveDefiniteError,
+                               match=f"standard band: {where} is not positive"):
+                _condensed_solve(system)
         x = solve_system(system).x
         assert x.tobytes() == BandedLU(system.matrix).solve(system.rhs).tobytes()
 
