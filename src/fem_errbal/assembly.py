@@ -1,14 +1,14 @@
 """Discrete linear systems for the standard and mixed formulations.
 
-Matrices live in LAPACK-compatible band storage, and this module alone
-indexes it: the solvers go through `BandedMatrix.matvec` for a single
-product, through `BandedMatrix.operator`, the one sparse form of the band,
-for CG's products, and through `DofLayout.cell_windows`, a view of every
-cell's block, for the condensed solves and the block view
-`LinearSystem.blocks`, and the banded LU hands the array to LAPACK as it
-is.  Each system records the rows that strong boundary elimination made
-identities (`LinearSystem.constrained`), so no solver has to find them in
-the band.
+Matrices live in band storage, their diagonals as a scipy DIA matrix holds
+them, and this module alone indexes it: the solvers go through
+`BandedMatrix.matvec` for a single product, through
+`BandedMatrix.operator`, a DIA view of the band, for CG's products, and
+through `DofLayout.cell_windows`, a view of every cell's block, for the
+condensed solves and the block view `LinearSystem.blocks`; the banded LU
+copies the diagonals into LAPACK's layout.  Each system records the rows
+that strong boundary elimination made identities
+(`LinearSystem.constrained`), so no solver has to find them in the band.
 Complex-coefficient problems are assembled, constrained and stored in
 complex arithmetic: the band's dtype is the one record of whether a system
 is complex, and the banded LU factors it in that dtype.
@@ -57,8 +57,8 @@ from .problem import ProblemSpec
 class BandedMatrix:
     """Square banded matrix of order n with kl sub- and ku superdiagonals.
 
-    Storage has 2*kl + ku + 1 rows: entry A[i, j] sits at ab[kl + ku + i - j, j]
-    and the top kl rows are workspace for pivoting fill-in during LU.
+    Storage has kl + ku + 1 rows, the diagonals in ascending offset order as
+    in a scipy DIA matrix's data: entry A[i, j] sits at ab[kl + j - i, j].
     """
 
     __slots__ = ("n", "kl", "ku", "ab")
@@ -69,37 +69,35 @@ class BandedMatrix:
         self.n = n
         self.kl = kl
         self.ku = ku
-        self.ab = np.zeros((2 * kl + ku + 1, n), dtype=dtype)
+        self.ab = np.zeros((kl + ku + 1, n), dtype=dtype)
 
     def add_at(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add; duplicate (row, col) pairs accumulate."""
-        np.add.at(self.ab, (self.kl + self.ku + rows - cols, cols), values)
+        np.add.at(self.ab, (self.kl + cols - rows, cols), values)
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal, a view of the band."""
-        return self.ab[self.kl + self.ku]
+        return self.ab[self.kl]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(self.n, dtype=np.result_type(self.ab.dtype, x.dtype))
-        r0 = self.kl + self.ku
         for d in range(-self.kl, self.ku + 1):
             lo = max(0, d)
             hi = self.n + min(0, d)
             if hi > lo:
-                y[lo - d : hi - d] += self.ab[r0 - d, lo:hi] * x[lo:hi]
+                y[lo - d : hi - d] += self.ab[self.kl + d, lo:hi] * x[lo:hi]
         return y
 
     def operator(self) -> sp.dia_matrix:
         """The matrix as a DIA operator, for many products with it.
 
-        It holds its own copy of the kl + ku + 1 stored diagonals in ascending
+        Its data is the band itself, no copy: the diagonals in ascending
         offset order, the order in which `matvec` adds them, so each row sum
         of a real product rounds as `matvec`'s does.  A complex product can
         differ from `matvec`'s in its last bit where numpy's complex multiply
         fuses (FMA); this one rounds each real product.
         """
-        data = self.ab[self.kl :][::-1].copy()
-        return sp.dia_matrix((data, np.arange(-self.kl, self.ku + 1)), shape=(self.n, self.n))
+        return sp.dia_matrix((self.ab, np.arange(-self.kl, self.ku + 1)), shape=(self.n, self.n))
 
 
 def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -> None:
@@ -108,14 +106,14 @@ def eliminate_dirichlet(mat: BandedMatrix, rhs: np.ndarray, index: int, value) -
     The purge moves the known value to the right-hand side and zeroes the
     column, which keeps a symmetric matrix symmetric.
     """
-    r0 = mat.kl + mat.ku
-    lo, hi = max(0, index - mat.ku), min(mat.n, index + mat.kl + 1)
-    column = mat.ab[r0 + lo - index : r0 + hi - index, index]  # A[lo:hi, index]
+    kl = mat.kl
+    lo, hi = max(0, index - mat.ku), min(mat.n, index + kl + 1)
+    column = mat.ab[kl + index - hi + 1 : kl + index - lo + 1, index][::-1]  # A[lo:hi, index]
     rhs[lo:hi] -= column * value
     column[:] = 0.0
-    for j in range(max(0, index - mat.kl), min(mat.n, index + mat.ku + 1)):
-        mat.ab[r0 + index - j, j] = 0.0  # A[index, j]
-    mat.ab[r0, index] = 1.0
+    for j in range(max(0, index - kl), min(mat.n, index + mat.ku + 1)):
+        mat.ab[kl + j - index, j] = 0.0  # A[index, j]
+    mat.ab[kl, index] = 1.0
     rhs[index] = value
 
 
@@ -160,10 +158,10 @@ class DofLayout(NamedTuple):
 
         values is one (a, b) block shared by all cells or a (cells, a, b) stack.
         """
-        r0, last = mat.kl + mat.ku, self.stride * self.cells
+        last = self.stride * self.cells
         for i, ri in enumerate(rows.offsets):
             for j, cj in enumerate(cols.offsets):
-                mat.ab[r0 + ri - cj, cj : cj + last : self.stride] += values[..., i, j]
+                mat.ab[mat.kl + cj - ri, cj : cj + last : self.stride] += values[..., i, j]
 
     def cell_windows(self, mat: BandedMatrix) -> np.ndarray:
         """Every cell's (stride + 1) x (stride + 1) window of the band, as a read-only view.
@@ -171,15 +169,15 @@ class DofLayout(NamedTuple):
         view[i, j, c] is A[stride c + i, stride c + j], so a slice of cells or
         of local unknowns reads the band with no copy.  A slot that two cells
         share (the diagonal of a shared vertex) reads its assembled sum in
-        both.  Along j the view steps one column right and one storage row up
+        both.  Along j the view steps one column right and one storage row down
         at once, which needs a C-ordered band with kl and ku at least stride.
         """
         s, n, ab = self.stride, mat.n, mat.ab
         if mat.kl < s or mat.ku < s or not ab.flags.c_contiguous:
             raise ValueError("cell windows need a C-ordered band at least a stride wide")
         view = np.ndarray((s + 1, s + 1, self.cells), dtype=ab.dtype, buffer=ab,
-                          offset=(mat.kl + mat.ku) * n * ab.itemsize,
-                          strides=(n * ab.itemsize, (1 - n) * ab.itemsize, s * ab.itemsize))
+                          offset=mat.kl * n * ab.itemsize,
+                          strides=(-n * ab.itemsize, (n + 1) * ab.itemsize, s * ab.itemsize))
         view.flags.writeable = False
         return view
 
@@ -251,10 +249,9 @@ class LinearSystem:
         pure_saddle = not uu.any() and np.array_equal(uv, vu.transpose(0, 2, 1))
         n_v, n_u = p * layout.cells + 1, p * layout.cells
         m_block = BandedMatrix(n_v, p, p)  # v couples within one cell
-        r0 = m_block.kl + m_block.ku
         for i in range(p + 1):
             for j in range(p + 1):  # a shared vertex's diagonal gets its one value twice
-                m_block.ab[r0 + i - j, j : j + n_u : p] = vv[:, i, j]
+                m_block.ab[p + j - i, j : j + n_u : p] = vv[:, i, j]
         # cell c's u unknowns are columns pc .. pc + p - 1 of B.  The cells'
         # rows in turn are B's rows, but for a shared vertex, whose row holds
         # the left cell's entries, then the right cell's: each row's columns ascend

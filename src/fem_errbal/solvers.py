@@ -18,16 +18,17 @@ gradients with the stopping rule ||F - A x||_2 <= tol_prm ||F||_2, for
 real systems with a positive diagonal only.  It takes the identity rows of
 strongly imposed boundary values from assembly
 (`LinearSystem.constrained`).  CG's products run through the band's DIA
-operator (`BandedMatrix.operator`), built once per solve, which gives the
-bits of `BandedMatrix.matvec`.  Mixed saddle systems can alternatively be
-solved segregated: an outer CG on the Schur complement C M^{-1} B (C = B^T
-exactly, applied as B.T) with a three-step matvec, then a mass solve
-recovers v.  Its mass solves use `CondensedMass`, the same elimination of
-the cell interiors on the continuous mass band, all cells at once, with a
-tridiagonal LDL^T (LAPACK pttrf/pttrs) for the vertices, so no step calls
-BLAS.  Each solver returns its solution and iteration count;
-`solve_system` times it and measures ||F - A x|| / ||F|| through
-`BandedMatrix.matvec`, the same residual whichever solver ran.
+operator (`BandedMatrix.operator`), a view of the band wrapped once per
+solve, which gives the bits of `BandedMatrix.matvec`.  Mixed saddle
+systems can alternatively be solved segregated: an outer CG on the Schur
+complement C M^{-1} B (C = B^T exactly, applied as B.T) with a three-step
+matvec, then a mass solve recovers v.  Its mass solves use
+`CondensedMass`, the same elimination of the cell interiors on the
+continuous mass band, all cells at once, with a tridiagonal LDL^T (LAPACK
+pttrf/pttrs) for the vertices, so no step calls BLAS.  Each solver returns
+its solution and iteration count; `solve_system` times it and measures
+||F - A x|| / ||F|| through `BandedMatrix.matvec`, the same residual
+whichever solver ran.
 """
 
 from __future__ import annotations
@@ -82,18 +83,20 @@ class SolveReport:
 class BandedLU:
     """Factorization PA = LU of a BandedMatrix, reusable for several solves.
 
-    The band goes to gbtrf as it is, in its own dtype (dgbtrf for a real band,
-    zgbtrf for a complex one): with overwrite_ab=0 LAPACK's wrapper makes the
-    one Fortran-order copy that it factors, so the matrix is never written.
-    The band itself stays in C order, where each stored diagonal is
-    contiguous for `BandedMatrix.matvec` and for the copy that
-    `BandedMatrix.operator` makes of the diagonals.
+    gbtrf factors in the band's dtype (dgbtrf real, zgbtrf complex) and in
+    LAPACK's layout, which only this class knows: 2 kl + ku + 1 rows in
+    Fortran order, the band's diagonals in descending offset order below kl
+    rows of workspace for the fill-in of row interchanges.  That array is
+    the one copy of the band made here, and gbtrf factors it in place, so
+    the matrix is never written.
     """
 
     def __init__(self, mat: BandedMatrix):
         self.n, self.kl, self.ku = mat.n, mat.kl, mat.ku
         gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), (mat.ab,))
-        lu, ipiv, info = gbtrf(mat.ab, mat.kl, mat.ku)
+        lu = np.zeros((2 * mat.kl + mat.ku + 1, mat.n), dtype=mat.ab.dtype, order="F")
+        lu[mat.kl :] = mat.ab[::-1]
+        lu, ipiv, info = gbtrf(lu, mat.kl, mat.ku, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to the factorization")
         if info > 0:
@@ -102,10 +105,10 @@ class BandedLU:
         self._ipiv = ipiv
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = self._gbtrs(self._lu, self.kl, self.ku, np.asfortranarray(b.reshape(-1, 1)), self._ipiv)
+        x, info = self._gbtrs(self._lu, self.kl, self.ku, b, self._ipiv)
         if info != 0:
             raise ValueError(f"band back-substitution failed with code {info}")
-        return np.ascontiguousarray(x[:, 0])
+        return x
 
 
 def _eliminate_interiors(windows: np.ndarray, cells: slice, extra: np.ndarray,
@@ -314,9 +317,9 @@ def cg_solve(system: LinearSystem, tol_prm: float) -> tuple[np.ndarray, int]:
     NonConvergenceError, naming the breakdown, when it meets it.
 
     Every product goes through the band's DIA operator
-    (`BandedMatrix.operator`), built once per solve.  It adds the diagonals
-    in `BandedMatrix.matvec`'s order, so CG takes the same iterates as
-    through `matvec`.
+    (`BandedMatrix.operator`), a view of the band wrapped once per solve.
+    It adds the diagonals in `BandedMatrix.matvec`'s order, so CG takes the
+    same iterates as through `matvec`.
     """
     if system.complex_valued:
         raise ValueError("CG needs a real system; use the lu solver for complex problems")

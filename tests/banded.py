@@ -14,7 +14,8 @@ from fem_errbal.mesh_basis import basis_table, gauss_legendre_rule, reference_in
 
 
 def _dense(ab: np.ndarray, r0: int) -> np.ndarray:
-    """Dense matrix of a band array whose main diagonal is stored in row r0."""
+    """Dense matrix of a band array in LAPACK's layout, A[i, j] at
+    ab[r0 + i - j, j], whose main diagonal is stored in row r0."""
     n = ab.shape[1]
     k, j = np.indices(ab.shape)
     i = j + k - r0
@@ -25,7 +26,7 @@ def _dense(ab: np.ndarray, r0: int) -> np.ndarray:
 
 
 def to_dense(mat: BandedMatrix) -> np.ndarray:
-    return _dense(mat.ab, mat.kl + mat.ku)
+    return _dense(mat.ab[::-1], mat.ku)  # the diagonals in descending offset order
 
 
 def from_dense(a: np.ndarray, kl: int, ku: int) -> BandedMatrix:
@@ -39,13 +40,12 @@ def identity_rows(mat: BandedMatrix) -> np.ndarray:
     """Mask of the rows that are identities: a unit diagonal and no other
     entry in the row or the column.  The summed terms are absolute values,
     so the zero test does not depend on the order of summation."""
-    r0 = mat.kl + mat.ku
     off = np.abs(mat.ab)
-    off[r0] = 0.0
-    rows = np.arange(mat.n) + (np.arange(off.shape[0]) - r0)[:, None]  # row of each entry
+    off[mat.kl] = 0.0
+    rows = np.arange(mat.n) + (mat.kl - np.arange(off.shape[0]))[:, None]  # row of each entry
     inside = (rows >= 0) & (rows < mat.n)
     row_sums = np.bincount(rows[inside], weights=off[inside], minlength=mat.n)
-    return (mat.ab[r0] == 1.0) & (row_sums + off.sum(axis=0) == 0.0)
+    return (mat.ab[mat.kl] == 1.0) & (row_sums + off.sum(axis=0) == 0.0)
 
 
 def reconstruct(factor) -> np.ndarray:

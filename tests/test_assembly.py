@@ -58,11 +58,19 @@ _REAL_PROBLEMS = sorted(name for name, make_spec in _SCATTER_PROBLEMS.items()
 
 
 class TestBandedMatrix:
+    @pytest.mark.parametrize(("n", "kl", "ku"), [(1, 0, 0), (5, 1, 2), (9, 3, 1), (17, 4, 4)])
+    def test_storage_is_the_diagonals_only(self, n, kl, ku):
+        # one row per diagonal, no LU workspace, and the DIA operator wraps
+        # the band itself
+        mat = BandedMatrix(n, kl, ku)
+        assert mat.ab.shape == (kl + ku + 1, n)
+        assert np.shares_memory(mat.operator().data, mat.ab)
+
     def test_add_at_accumulates_in_band_slot(self):
         m = BandedMatrix(5, 1, 2)
         m.add_at(np.array([2, 2, 3]), np.array([3, 3, 2]), np.array([7.0, 0.5, -1.0]))
-        assert m.ab[1 + 2 + 2 - 3, 3] == 7.5  # A[i, j] sits at ab[kl + ku + i - j, j]
-        assert m.ab[1 + 2 + 3 - 2, 2] == -1.0
+        assert m.ab[1 + 3 - 2, 3] == 7.5  # A[i, j] sits at ab[kl + j - i, j]
+        assert m.ab[1 + 2 - 3, 2] == -1.0
         assert np.count_nonzero(m.ab) == 2
 
     def test_matvec_matches_dense(self):
@@ -95,11 +103,10 @@ def _unfused_matvec(mat: BandedMatrix, x: np.ndarray) -> np.ndarray:
     real products, (ar xr - ai xi) + (ar xi + ai xr) i, as plain IEEE
     arithmetic forms it; numpy's complex multiply may fuse them (FMA)."""
     y = np.zeros(mat.n, dtype=np.result_type(mat.ab.dtype, x.dtype))
-    r0 = mat.kl + mat.ku
     for d in range(-mat.kl, mat.ku + 1):
         lo, hi = max(0, d), mat.n + min(0, d)
         if hi > lo:
-            a, v = mat.ab[r0 - d, lo:hi], x[lo:hi]
+            a, v = mat.ab[mat.kl + d, lo:hi], x[lo:hi]
             re, im = a.real * v.real - a.imag * v.imag, a.real * v.imag + a.imag * v.real
             y[lo - d : hi - d] += re + 1j * im
     return y
@@ -351,6 +358,26 @@ def test_assembly_matches_add_at_scatter_bit_for_bit(problem, form):
             ab, rhs = add_at_assembly(spec, mesh, p, flavor)
             _assert_same_bits(system.matrix.ab, ab)
             _assert_same_bits(system.rhs, rhs)
+
+
+@pytest.mark.parametrize("problem", ["bench-diffusion", "bench-helmholtz"])
+@pytest.mark.parametrize("flavor", ["standard", "mixed"])
+def test_cell_windows_are_the_dense_cell_blocks(problem, flavor):
+    # each window is the (stride + 1)^2 block of the dense matrix at its
+    # cell, a shared vertex's diagonal read as its assembled sum in both
+    # cells, through a read-only view on the band's own memory
+    assemble = assemble_standard if flavor == "standard" else assemble_mixed
+    for p in (1, 3):
+        for level in (0, 4):
+            system = assemble(catalog(problem), build_mesh(level), p)
+            layout, mat = system.layout, system.matrix
+            s, dense, windows = layout.stride, to_dense(mat), layout.cell_windows(mat)
+            assert windows.shape == (s + 1, s + 1, layout.cells)
+            for c in range(layout.cells):
+                cell = slice(s * c, s * c + s + 1)
+                _assert_same_bits(windows[:, :, c], dense[cell, cell])
+            assert not windows.flags.writeable
+            assert np.shares_memory(windows, mat.ab)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -87,15 +87,19 @@ class TestBandedLU:
         assert x.dtype == np.complex128
         assert x[0] == 1.0 - 1.0j
 
-    def test_complex_band_agrees_with_dense_solve(self):
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_band_agrees_with_dense_solve(self, dtype):
+        # kl != ku, so a copy into LAPACK's layout that mixed up the two
+        # bandwidths would solve another matrix; the band stays unwritten
         rng = np.random.default_rng(9)
         n, kl, ku = 12, 2, 3
-        a = np.zeros((n, n), dtype=complex)
+        imag = 1j if dtype is complex else 0.0
+        a = np.zeros((n, n), dtype=dtype)
         for i in range(n):
             for j in range(max(0, i - kl), min(n, i + ku + 1)):
-                a[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+                a[i, j] = rng.standard_normal() + imag * rng.standard_normal()
             a[i, i] += 4.0
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + imag * rng.standard_normal(n)
         mat = from_dense(a, kl, ku)
         ab = mat.ab.copy()
         x = BandedLU(mat).solve(b)
@@ -144,6 +148,13 @@ class TestConjugateGradients:
         assert report.iterations > 0
         rel = np.linalg.norm(report.x - direct.x) / np.linalg.norm(direct.x)
         assert rel <= 1e-9
+
+    def test_band_left_unwritten(self):
+        # CG's operator wraps the band itself, and no product writes it
+        system = assemble_standard(catalog("bench-poisson"), build_mesh(6), p=3)
+        ab = system.matrix.ab.copy()
+        solve_system(system, "cg", tol_prm=1e-10)
+        assert system.matrix.ab.tobytes() == ab.tobytes()
 
     def test_constrained_rows_pinned_bit_exact(self):
         spec = catalog("bench-poisson")
