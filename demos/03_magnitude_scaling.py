@@ -1,15 +1,15 @@
-"""How far scaling the right-hand side brings the fitted floors together.
+"""How far a normalized error frame brings the fitted floors together.
 
 The family u(x) = sin(2 pi c x) / (2 pi c)^2 keeps the data f = u''
 at magnitude one while the solution magnitude sweeps seven decades as
 c goes from 0.01 to 100.  The demo fits the round-off branch
 alpha_R N^beta_R of each error curve, unscaled and under scheme S, which
-divides the right-hand side by ||u|| and measures the error in that
-frame, and prints how many decades the fitted offsets span.
+solves the same levels and divides each error value by ||u||, and prints
+how many decades the fitted offsets span.
 
-Unscaled, the offsets track the solution magnitude (about 13 decades
+Unscaled, the offsets track the solution magnitude (about 9 decades
 here).  Scheme S removes that magnitude but does not bring the offsets
-onto one level (about 6.5 decades here): scaling only picks the frame,
+onto one level (about 2.3 decades here): scaling only picks the frame,
 so the scaled offsets still differ by the shapes of the floors, and
 free-slope intercepts extrapolate those shapes to N = 1.  So one table
 alpha_R does not cover the family; measuring alpha_R from the coarse
@@ -19,7 +19,7 @@ spread bound for the same reason.
 All runs share one deep DoF cap: free-slope offsets are extrapolations
 to N = 1 and are only comparable between equal fit windows, and the
 high-frequency end of the family needs millions of DoF before its
-round-off branch is long enough to fit.  Takes about two minutes.
+round-off branch is long enough to fit.  Takes about a minute.
 """
 
 import numpy as np

@@ -268,8 +268,7 @@ def _timed_optimal_solve(spec, args: argparse.Namespace, result: PredictionResul
     if result.N_opt_mesh > args.n_max:
         return float("nan")
     start = time.perf_counter()
-    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref, result.frame,
-                args.solver, args.tol_prm)
+    solve_level(spec, result.flavor, result.p, result.N_opt_mesh_ref, args.solver, args.tol_prm)
     return time.perf_counter() - start
 
 

@@ -7,11 +7,9 @@ solves, and tracks error curves over refinement ladders and writes them as
 CSV.  A view copies the coefficients of the one field that hosts its variable
 (`assembly.cell_coefficients`) and keeps that field's basis, the (degree,
 continuous) tuple of `LinearSystem.layout`; for mixed systems the derivative
-fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  A system
-solved in a frame (its right-hand side divided by one positive number, see
-`prediction.solve_level`) yields unknowns divided by that number, and so do
-its views; `error_exact` measures such a view against the exact values
-divided by the same frame, which keeps the round-off floor offsets
+fields come from the gradient unknown, u_x = -v and u_xx = -v_x.  Every
+error is measured unscaled; the prediction module divides it by the frame
+of a scaling scheme, which keeps the round-off floor offsets
 magnitude-independent.
 """
 
@@ -218,13 +216,13 @@ def l2_norm(field) -> float:
     return _norm(mesh, 10, lambda cells: np.asarray(field(mesh.quadrature_points(points, cells))))
 
 
-def error_exact(field: FieldView, spec: ProblemSpec, frame: float = 1.0) -> ErrorRecord:
-    """E_h = ||var_h - var_exc / frame|| by per-cell quadrature, in the field's solve frame."""
+def error_exact(field: FieldView, spec: ProblemSpec) -> ErrorRecord:
+    """E_h = ||var_h - var_exc|| by per-cell quadrature."""
     n_quad = field.fem_degree + 4
     points = gauss_legendre_rule(n_quad).points
 
     def diff(cells: slice) -> np.ndarray:
-        exact = eval_exact(spec, field.var, field.mesh.quadrature_points(points, cells)) / frame
+        exact = eval_exact(spec, field.var, field.mesh.quadrature_points(points, cells))
         return field.eval_on_cells(n_quad, cells=cells) - exact
 
     return ErrorRecord(

@@ -19,19 +19,19 @@ callers set only the DoF cap n_max (N_MAX when None) and test E_min <= target.
 
 Every scaling scheme only picks the frame the errors are measured in: the L2
 norm of one variable (`frame_variable`), ||u|| under S and M2, and under M1
-||u|| for u and ||u_x|| for u_x and u_xx.  Each coarse
-level is solved once, unscaled.  The NORMALIZATION stage reads that one norm
-from the same solves, refining until it changes by less than C_S, and the
-errors are divided by it, which keeps the alpha_R offsets
-magnitude-independent.  A brute-force sweep over the full ladder serves as
-the validation baseline; it divides each level's right-hand side and the
-exact values by the frame: the closed-form norm or, without a closed form,
-the norm settled by the same C_S rule on its own unscaled ladder.
+||u|| for u and ||u_x|| for u_x and u_xx.  Both methods solve every level
+unscaled (`solve_level`) and divide each error value by the frame, which
+keeps the alpha_R offsets magnitude-independent.  In prediction each coarse
+level is solved once, and the NORMALIZATION stage reads the norm from the
+same solves, refining until it changes by less than C_S.  A brute-force
+sweep over the full ladder serves as the validation baseline; its frame is
+the closed-form norm or, without a closed form, the norm settled by the same
+C_S rule on its own unscaled ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -135,17 +135,10 @@ def solve_level(
     flavor: str,
     p: int,
     level: int,
-    frame: float = 1.0,
     solver: str = "lu",
     tol_prm: float = 1e-10,
 ) -> tuple[LinearSystem, SolveReport]:
-    """Assemble one level of the refinement ladder and solve it in a frame.
-
-    The right-hand side is divided by frame, which divides every unknown by
-    it; a scaling scheme's frame is the norm of its `frame_variable`.
-    """
-    if not frame > 0:
-        raise ValueError("the frame must be positive")
+    """Assemble one level of the refinement ladder and solve it, unscaled."""
     mesh = build_mesh(level)
     if flavor == "standard":
         system = assemble_standard(spec, mesh, p=p)
@@ -153,8 +146,6 @@ def solve_level(
         system = assemble_mixed(spec, mesh, p=p)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if frame != 1.0:
-        system = replace(system, rhs=system.rhs / frame)
     return system, solve_system(system, solver, tol_prm=tol_prm)
 
 
@@ -373,9 +364,10 @@ def brute_force_sweep(
 ) -> ErrorCurve:
     """Walk the ladder measuring the error at every level; the baseline method.
 
-    Each level is solved in var's frame, the L2 norm of its `frame_variable`:
-    the closed-form norm, or without a closed form the norm settled by the C_S
-    rule on unscaled solves (at the default tol_prm).  Uses the
+    Each level is solved unscaled, and each error value is divided by var's
+    frame, the L2 norm of its `frame_variable`: the closed-form norm, or
+    without a closed form the norm settled by the C_S rule on a separate
+    ladder of unscaled solves (at the default tol_prm).  Uses the
     exact-solution error when available, the once-refined estimate
     otherwise.  Stops at the DoF cap or, when rise_streak is set, after that
     many consecutive error increases, which marks the round-off branch well
@@ -403,15 +395,16 @@ def brute_force_sweep(
     prev_field = None
     level = 0
     while True:
-        system, report = solve_level(spec, flavor, p, level, frame, solver, tol_prm)
+        system, report = solve_level(spec, flavor, p, level, solver=solver, tol_prm=tol_prm)
         fld = reconstruct(report, system, var)
         del system, report  # free this level's band before the next one is assembled
         record = None
         if use_exact:
-            record = error_exact(fld, spec, frame)
+            record = error_exact(fld, spec)
         elif prev_field is not None:
             record = error_refined(prev_field, fld)
         if record is not None:
+            record.value /= frame
             if not np.isfinite(record.value):
                 raise RuntimeError(f"error estimate is {record.value} at refinement level {level}")
             if len(curve) and curve[-1].value > 0 and record.value > 0:

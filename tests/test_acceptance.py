@@ -258,7 +258,7 @@ def _memory_safe_ref(flavor: str, p: int, complex_valued: bool) -> int:
 def _timed_prediction_plus(spec, flavor, p, var, n_max, target_ref):
     start = time.perf_counter()
     result = prediction_loop(spec, flavor, p, var, n_max=n_max)
-    solve_level(spec, flavor, p, target_ref, result.frame)
+    solve_level(spec, flavor, p, target_ref)
     return result, time.perf_counter() - start
 
 

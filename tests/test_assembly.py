@@ -444,50 +444,18 @@ def test_recorded_constrained_rows_are_the_identity_rows(problem, flavor):
 
 
 class TestScaling:
-    """Every scheme is one right-hand-side divisor, the frame solve_level applies."""
+    """No scheme scales a system: solve_level solves each level as it is assembled."""
 
-    @staticmethod
-    def _framed(name, flavor, frame, level=3, p=2):
-        """(solve_level's system in the frame, the same level assembled unscaled)."""
+    @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
+    @pytest.mark.parametrize("flavor", ["standard", "mixed"])
+    def test_input_left_unwritten(self, name, flavor):
+        # the LU factors a copy of the band and reads the right-hand side: after
+        # the solve both are still the assembled ones
         assemble = assemble_standard if flavor == "standard" else assemble_mixed
-        system, _ = solve_level(catalog(name), flavor, p, level, frame)
-        return system, assemble(catalog(name), build_mesh(level), p)
-
-    def test_scheme_s_divides_rhs(self):
-        system, plain = self._framed("bench-poisson", "standard", 0.92)
-        _assert_same_bits(system.rhs, plain.rhs / 0.92)
+        system, _ = solve_level(catalog(name), flavor, 2, 3)
+        plain = assemble(catalog(name), build_mesh(3), 2)
         _assert_same_bits(system.matrix.ab, plain.matrix.ab)
-
-    @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
-    def test_scheme_m1_divides_rhs_by_the_gradient_norm(self, name):
-        system, plain = self._framed(name, "mixed", 3.7, level=2)
-        # no column is scaled: the band is the assembled one
-        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
-        _assert_same_bits(system.rhs, plain.rhs / 3.7)
-
-    def test_scheme_m2_divides_rhs(self):
-        system, plain = self._framed("bench-poisson", "mixed", 2.0, level=2)
-        _assert_same_bits(system.rhs, plain.rhs / 2.0)
-        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
-
-    def test_scaled_solutions_are_divided_unknowns(self):
-        spec = catalog("bench-poisson")
-        _, plain = solve_level(spec, "standard", 2, 4)
-        _, framed = solve_level(spec, "standard", 2, 4, 0.92)
-        np.testing.assert_allclose(framed.x, plain.x / 0.92, rtol=1e-12)
-        # dividing by a power of two commutes with every rounding and every pivot choice
-        _, halved = solve_level(spec, "standard", 2, 4, 2.0)
-        _assert_same_bits(halved.x, plain.x / 2.0)
-
-    @pytest.mark.parametrize("name", ["bench-poisson", "bench-helmholtz"])
-    @pytest.mark.parametrize("scheme", ["S", "M1", "M2"])
-    def test_input_left_unwritten(self, name, scheme):
-        # the frame divides a new right-hand side, and the LU factors a copy
-        # of the band: after the solve the band is still the assembled one
-        frame = 3.7 if scheme == "M1" else 0.9  # ||u_x|| frames ux under M1, ||u|| otherwise
-        system, plain = self._framed(name, "standard" if scheme == "S" else "mixed", frame)
-        _assert_same_bits(system.matrix.ab, plain.matrix.ab)
-        _assert_same_bits(system.rhs, plain.rhs / frame)
+        _assert_same_bits(system.rhs, plain.rhs)
 
     def test_scheme_flavor_validation(self, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -256,29 +256,6 @@ class TestErrorCurve:
             curve.append(ErrorRecord(5, curve[-1].n_dof, 0.1, "exact"))
 
 
-class TestScaling:
-    def test_round_trip_reproduces_unscaled_field(self):
-        spec = catalog("bench-diffusion")
-        norm_u = l2_norm(lambda x: eval_exact(spec, "u", x))
-        plain, plain_solve = solve_level(spec, "standard", 2, 5)
-        scaled, scaled_solve = solve_level(spec, "standard", 2, 5, norm_u)
-        u_plain = reconstruct(plain_solve, plain, "u")
-        u_scaled = reconstruct(scaled_solve, scaled, "u")
-        x = np.random.default_rng(2).uniform(0, 1, 30)
-        back = evaluate(u_scaled, x) * norm_u
-        plain_values = evaluate(u_plain, x)
-        assert np.max(np.abs(back - plain_values)) <= 1e-13 * np.max(np.abs(plain_values))
-
-    def test_scaled_frame_error_is_error_of_scaled_variable(self):
-        spec = catalog("bench-diffusion")
-        norm_u = 0.71
-        plain, plain_solve = solve_level(spec, "standard", 2, 5)
-        scaled, scaled_solve = solve_level(spec, "standard", 2, 5, norm_u)
-        e_plain = error_exact(reconstruct(plain_solve, plain, "u"), spec).value
-        e_scaled = error_exact(reconstruct(scaled_solve, scaled, "u"), spec, norm_u).value
-        assert abs(e_scaled - e_plain / norm_u) <= 1e-3 * e_scaled
-
-
 class TestBlockedQuadrature:
     """The quadratures walk the mesh in blocks of QUADRATURE_BLOCK cells and
     must give the bits of the whole-mesh sums (tests/whole_mesh.py)."""
@@ -298,8 +275,6 @@ class TestBlockedQuadrature:
             pairs = {
                 "l2_norm": (l2_norm(fine), whole_mesh.l2_norm(fine)),
                 "error_exact": (error_exact(fine, spec).value, whole_mesh.error_exact(fine, spec)),
-                "error_exact framed": (error_exact(fine, spec, 0.37).value,
-                                       whole_mesh.error_exact(fine, spec, 0.37)),
                 "error_refined": (error_refined(coarse, fine).value,
                                   whole_mesh.error_refined(coarse, fine)),
             }

@@ -44,25 +44,31 @@ def _without_closed_form(spec):
 
 
 def _recorded_solves(run, *args, **kwargs):
-    """run's result, and the (level, frame) of every level it solves, in order."""
-    solves = []
+    """run's result, and the level of every level it solves, in order."""
+    levels = []
 
-    def recording_solve_level(spec, flavor, p, level, frame=1.0, *rest, **level_kwargs):
-        solves.append((level, frame))
-        return solve_level(spec, flavor, p, level, frame, *rest, **level_kwargs)
+    def recording_solve_level(spec, flavor, p, level, *rest, **level_kwargs):
+        levels.append(level)
+        return solve_level(spec, flavor, p, level, *rest, **level_kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prediction, "solve_level", recording_solve_level)
         result = run(*args, **kwargs)
-    return result, solves
+    return result, levels
 
 
-def _sweep_frames(spec, flavor, p, var, scheme="auto"):
-    """A short brute-force sweep's unscaled norm-ladder levels and its frames."""
-    _, solves = _recorded_solves(brute_force_sweep, spec, flavor, p, var, scheme=scheme,
-                                 n_max=10)
-    return ([level for level, frame in solves if frame == 1.0],
-            {frame for _, frame in solves if frame != 1.0})
+def _sweep_norm_ladder(spec, flavor, p, var, frame, scheme="auto"):
+    """A short brute-force sweep's norm-ladder levels, the solves before its level 0.
+
+    Checks the sweep's frame first: its values are those of the sweep under
+    scheme 'none', each divided by frame, bit for bit.
+    """
+    curve, levels = _recorded_solves(brute_force_sweep, spec, flavor, p, var, scheme=scheme,
+                                     n_max=10)
+    plain = brute_force_sweep(spec, flavor, p, var, scheme="none", n_max=10)
+    assert len(plain) and all(r.value > 0 for r in plain)
+    assert [r.value for r in curve] == [r.value / frame for r in plain]
+    return levels[:levels.index(0)]
 
 
 def _stubborn_rate_gate(monkeypatch):
@@ -200,26 +206,26 @@ class TestNormalization:
     def test_linear_solution_exact_norm(self):
         # u = x reproduced exactly at any level: accepted at the first comparison
         spec = catalog("case5", coefficient=1.0)
-        levels, frames = _sweep_frames(_without_closed_form(spec), "standard", 1, "u")
+        frame = prediction_loop(spec, "standard", 1, "u").frame
+        levels = _sweep_norm_ladder(_without_closed_form(spec), "standard", 1, "u", frame)
         assert levels == [7, 8]
-        (frame,) = frames
         assert frame == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-10)
-        assert prediction_loop(spec, "standard", 1, "u").frame == frame
 
     def test_bench_poisson_magnitude(self):
-        levels, frames = _sweep_frames(
-            _without_closed_form(catalog("bench-poisson")), "standard", 1, "u")
+        spec = catalog("bench-poisson")
+        frame = prediction_loop(spec, "standard", 1, "u").frame
+        levels = _sweep_norm_ladder(_without_closed_form(spec), "standard", 1, "u", frame)
         assert levels == [7, 8]
-        (frame,) = frames
         assert abs(frame - 0.92) <= 0.01
 
     def test_oscillatory_needs_extra_levels(self):
         # 100 oscillation periods: the start level underresolves, the loop refines
-        spec = _without_closed_form(catalog("case1", coefficient=100.0))
-        levels, frames = _sweep_frames(spec, "standard", 2, "u")
+        spec = catalog("case1", coefficient=100.0)
+        frame = prediction_loop(spec, "standard", 2, "u").frame
+        levels = _sweep_norm_ladder(_without_closed_form(spec), "standard", 2, "u", frame)
         assert levels == [6, 7, 8, 9, 10, 11]
         exact = (1.0 / np.sqrt(2.0)) / (200.0 * np.pi) ** 2
-        assert frames.pop() == pytest.approx(exact, rel=1e-3)
+        assert frame == pytest.approx(exact, rel=1e-3)
 
     def test_unavailable_variable_rejected(self):
         spec = _without_closed_form(catalog("bench-poisson"))
@@ -271,12 +277,12 @@ class TestSchemeSelection:
             ("mixed", "uxx", "M2", norm_u),
             ("mixed", "uxx", "none", 1.0),
         ]:
-            _, solves = _recorded_solves(brute_force_sweep, spec, flavor, 2, var, scheme=scheme,
-                                         n_max=10)
-            levels = [level for level, _ in solves]
-            assert levels == list(range(len(levels)))  # no norm ladder before the sweep
-            (frame,) = {frame for _, frame in solves}
+            frame_var = frame_variable(flavor, scheme, var)
+            frame = 1.0 if frame_var is None else l2_norm(
+                lambda x: eval_exact(spec, frame_var, x))
             assert frame == pytest.approx(want, rel=1e-8)
+            # no norm ladder before the sweep
+            assert _sweep_norm_ladder(spec, flavor, 2, var, frame, scheme) == []
 
 
 class TestPredictionLoop:
@@ -352,9 +358,8 @@ class TestSingleLadder:
         ("bench-poisson", "mixed", 2, "uxx"),
     ])
     def test_each_level_solved_at_most_once(self, name, flavor, p, var):
-        res, solves = _recorded_solves(prediction_loop, catalog(name), flavor, p, var)
+        res, levels = _recorded_solves(prediction_loop, catalog(name), flavor, p, var)
         assert res.status == "converged"
-        levels = [level for level, _ in solves]
         assert sorted(levels) == sorted(set(levels))
         assert max(levels) >= res.refinements_used
 
@@ -366,11 +371,10 @@ class TestSingleLadder:
     ])
     def test_factors_equal_normalization(self, name, flavor, p, var):
         spec = catalog(name, coefficient=100.0) if name == "case1" else catalog(name)
-        # the one norm brute force settles on its own unscaled ladder
-        _, frames = _sweep_frames(_without_closed_form(spec), flavor, p, var)
         res = prediction_loop(spec, flavor, p, var)
         assert res.scheme == default_scheme(flavor, var)
-        assert {res.frame} == frames
+        # the one norm brute force settles on its own unscaled ladder
+        assert _sweep_norm_ladder(_without_closed_form(spec), flavor, p, var, res.frame)
 
     @pytest.mark.parametrize("flavor, p, var, frame_var", [
         ("standard", 2, "u", "u"),
@@ -394,25 +398,20 @@ class TestSingleLadder:
 
 
 class TestSolveLevel:
-    def test_matches_the_pipeline_spelled_out(self):
+    @pytest.mark.parametrize("solver, tol_prm", [("lu", 1e-10), ("schur", 1e-12)])
+    def test_matches_the_pipeline_spelled_out(self, solver, tol_prm):
         spec = catalog("bench-poisson")
-        system, report = solve_level(spec, "mixed", 3, 4, 3.7)
+        system, report = solve_level(spec, "mixed", 3, 4, solver, tol_prm)
         assert system.mesh.refinement_level == 4
         manual = assemble_mixed(spec, build_mesh(4), 3)
-        manual = dataclasses.replace(manual, rhs=manual.rhs / 3.7)
         np.testing.assert_array_equal(system.rhs, manual.rhs)
-        np.testing.assert_array_equal(report.x, solve_system(manual).x)
+        np.testing.assert_array_equal(report.x, solve_system(manual, solver, tol_prm=tol_prm).x)
 
     def test_unscaled_by_default(self):
         spec = catalog("bench-poisson")
         system, report = solve_level(spec, "standard", 2, 3)
         np.testing.assert_array_equal(system.rhs, assemble_standard(spec, build_mesh(3), 2).rhs)
         assert report.method == "lu" and report.x.shape == (system.n_unknowns,)
-
-    @pytest.mark.parametrize("frame", [0.0, -0.5, np.nan])
-    def test_frame_must_be_positive(self, frame):
-        with pytest.raises(ValueError, match="frame must be positive"):
-            solve_level(catalog("bench-poisson"), "standard", 2, 3, frame)
 
     def test_unknown_flavor_rejected(self):
         with pytest.raises(ValueError, match="unknown flavor"):
@@ -501,13 +500,37 @@ class TestBruteForceSweep:
         np.testing.assert_allclose([r.value for r in framed],
                                    [r.value / norm for r in plain], rtol=1e-6)
 
+    @pytest.mark.parametrize("name", ["bench-poisson", "validation-helmholtz"])
+    @pytest.mark.parametrize("flavor, var, scheme", [
+        ("standard", "u", "S"), ("standard", "ux", "none"), ("mixed", "u", "M1"),
+        ("mixed", "uxx", "M1"), ("mixed", "ux", "M2"), ("mixed", "u", "none"),
+    ])
+    def test_values_are_the_unscaled_ones_divided_by_the_frame(self, name, flavor, var, scheme):
+        # every scheme solves the levels 'none' solves and only divides the
+        # values: by the closed-form norm, or by the norm the C_S rule settles
+        spec = catalog(name)
+        frame_var = frame_variable(flavor, scheme, var)
+        if frame_var is None:
+            frame = 1.0
+        elif spec.has_exact:
+            frame = l2_norm(lambda x: eval_exact(spec, frame_var, x))
+        else:
+            frame = prediction_loop(spec, flavor, 2, var, scheme).frame
+        framed = brute_force_sweep(spec, flavor, 2, var, scheme=scheme, n_max=2000,
+                                   rise_streak=None)
+        plain = brute_force_sweep(spec, flavor, 2, var, scheme="none", n_max=2000,
+                                  rise_streak=None)
+        assert len(plain) >= 8 and all(r.value > 0 for r in plain)
+        assert [r.value for r in framed] == [r.value / frame for r in plain]
+
     @pytest.mark.parametrize("var, scheme", [("uxx", "auto"), ("u", "M1")])
     def test_m1_settles_one_norm_on_one_ladder(self, var, scheme):
         # no closed form: the frame norm comes from unscaled solves, and M1
         # divides u by ||u|| and u_xx by ||u_x|| alone
-        levels, frames = _sweep_frames(catalog("validation-helmholtz"), "mixed", 3, var, scheme)
+        spec = catalog("validation-helmholtz")
+        frame = prediction_loop(spec, "mixed", 3, var, scheme).frame
+        levels = _sweep_norm_ladder(spec, "mixed", 3, var, frame, scheme)
         assert levels and sorted(levels) == sorted(set(levels))
-        assert len(frames) == 1
 
     @pytest.mark.parametrize("estimator, solved", [("exact", [0]), ("refined", [0, 1])])
     def test_nan_load_raises_within_two_levels(self, monkeypatch, estimator, solved):

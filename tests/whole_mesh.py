@@ -38,12 +38,12 @@ def l2_norm(field) -> float:
     return _norm(_values(field, n_quad), n_quad, field.mesh.h)
 
 
-def error_exact(field, spec, frame: float = 1.0) -> float:
+def error_exact(field, spec) -> float:
     n_quad = field.fem_degree + 4
     rule = gauss_legendre_rule(n_quad)
     t, h = field.mesh.cell_count, field.mesh.h
     x_q = (np.arange(t)[:, None] + rule.points[None, :]) * h
-    exact = eval_exact(spec, field.var, x_q) / frame
+    exact = eval_exact(spec, field.var, x_q)
     return _norm(_values(field, n_quad) - exact, n_quad, h)
 
 
