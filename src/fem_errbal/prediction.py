@@ -21,18 +21,18 @@ Every scaling scheme only picks the frame the errors are measured in: the L2
 norm of one variable (`frame_variable`), ||u|| under S and M2, and under M1
 ||u|| for u and ||u_x|| for u_x and u_xx.  Both methods solve every level
 unscaled (`solve_level`) and divide each error value by the frame, which
-keeps the alpha_R offsets magnitude-independent.  In prediction each coarse
-level is solved once, and the NORMALIZATION stage reads the norm from the
-same solves, refining until it changes by less than C_S.  A brute-force
-sweep over the full ladder serves as the validation baseline; its frame is
-the closed-form norm or, without a closed form, the norm settled by the same
-C_S rule on its own unscaled ladder.
+keeps the alpha_R offsets magnitude-independent.  Each walk reads its levels
+from one `_Ladder`, which solves a level the first time it is read, so the
+NORMALIZATION stage and the walk share their solves and no level is solved
+twice.  The norm is refined until it changes by less than C_S.  Prediction
+always settles it so; a brute-force sweep over the full ladder, the
+validation baseline, takes the closed-form norm when there is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def predict_opt(model: ErrorModel) -> tuple[float, float]:
 
 class NormalizationError(RuntimeError):
     def __init__(self, last_norm: float, refinement_level: int):
-        if np.isfinite(last_norm):
+        if np.isfinite(last_norm) and last_norm != 0.0:
             message = (f"norm estimate did not stabilize before the DoF cap "
                        f"(last value {last_norm:.6e} at refinement {refinement_level})")
         else:
@@ -149,25 +149,41 @@ def solve_level(
     return system, solve_system(system, solver, tol_prm=tol_prm)
 
 
-def _settled_norm(norm_at: Callable[[int], float], spec: ProblemSpec, flavor: str, var: str,
-                  p: int, n_max: int) -> float:
-    """The C_S stop rule on norm_at(level), the L2 norm of var at that level.
+class _Ladder:
+    """One walk's levels of (spec, flavor, p): each is solved through `solve_level` when
+    first read, and only its FieldViews of `names` are kept, until the walk pops it."""
+
+    def __init__(self, spec: ProblemSpec, flavor: str, p: int, names: set, solver: str,
+                 tol_prm: float):
+        self.p, self.names = p, names
+        self.levels: dict[int, dict[str, FieldView]] = {}
+        self.solve = lambda level: solve_level(spec, flavor, p, level, solver, tol_prm)
+
+    def field(self, level: int, var: str) -> FieldView:
+        if level not in self.levels:
+            system, report = self.solve(level)
+            self.levels[level] = {n: reconstruct(report, system, n) for n in self.names}
+        return self.levels[level][var]
+
+
+def _settled_norm(ladder: _Ladder, var: str, n_max: int) -> float:
+    """The C_S stop rule on the L2 norm of var, read level by level off the ladder.
 
     Refines until the norm changes by less than C_S relative between adjacent
     levels; comparisons start only after the minimal refinement count.  Raises
-    NormalizationError at the DoF cap, or at once when the norm is NaN or inf.
+    NormalizationError at the DoF cap, or at once on a norm of 0, NaN or inf.
     """
-    level = max(ref_min(p), 1)
-    prev = norm_at(level - 1)
-    cur = norm_at(level)
-    while host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) < n_max:
-        if not np.isfinite(cur):
-            break  # a NaN or inf norm never stabilizes
-        if cur != 0.0 and abs((cur - prev) / cur) < C_S:
+    level = max(ref_min(ladder.p), 1)
+    prev = l2_norm(ladder.field(level - 1, var))
+    while True:
+        fld = ladder.field(level, var)
+        cur = l2_norm(fld)
+        if fld.n_dof >= n_max or cur == 0.0 or not np.isfinite(cur):
+            raise NormalizationError(cur, level)
+        if abs((cur - prev) / cur) < C_S:
             return cur
         level += 1
-        prev, cur = cur, norm_at(level)
-    raise NormalizationError(cur, level)
+        prev = cur
 
 
 def default_scheme(flavor: str, var: str) -> str:
@@ -269,25 +285,12 @@ def prediction_loop(
     """
     scheme, frame_var = _checked_frame(flavor, p, var, scheme)
     n_max = N_MAX if n_max is None else n_max
-    names = {var, frame_var} - {None}
-
-    fields: Dict[tuple[int, str], FieldView] = {}
-    estimates: Dict[int, float] = {}
-
-    def field_at(level: int, name: str = var) -> FieldView:
-        if (level, name) not in fields:
-            system, report = solve_level(spec, flavor, p, level, solver=solver, tol_prm=tol_prm)
-            fields.update({(level, n): reconstruct(report, system, n) for n in names})
-        return fields[(level, name)]
-
-    frame = 1.0 if frame_var is None else _settled_norm(
-        lambda level: l2_norm(field_at(level, frame_var)), spec, flavor, frame_var, p, n_max)
-    names = {var}  # the norm is settled; levels solved from here on need only var
+    ladder = _Ladder(spec, flavor, p, {var, frame_var} - {None}, solver, tol_prm)
+    frame = 1.0 if frame_var is None else _settled_norm(ladder, frame_var, n_max)
+    ladder.names = {var}  # the norm is settled; levels solved from here on need only var
 
     def estimate(level: int) -> float:
-        if level not in estimates:
-            estimates[level] = error_refined(field_at(level), field_at(level + 1)).value / frame
-        return estimates[level]
+        return error_refined(ladder.field(level, var), ladder.field(level + 1, var)).value / frame
 
     beta_t = float(beta_T(flavor, var, p))
     beta_r = float(beta_R(flavor))
@@ -296,7 +299,7 @@ def prediction_loop(
 
     level = ref_min(p)
     best_value, best_level, best_n = np.inf, level, 0
-    anchor = None
+    anchor = e_2h = None
     while True:
         n_h = host_dof_count(flavor, var, p, 1 << level, spec.complex_valued)
         e_h = estimate(level)
@@ -311,12 +314,15 @@ def prediction_loop(
         if not n_h < n_max:
             status = "hit_N_max"
             break
-        e_2h = estimate(level - 1)
+        if e_2h is None:
+            e_2h = estimate(level - 1)
         rate = np.log2(e_2h / e_h) if e_2h > 0 else -np.inf
         if rate >= rate_floor:
             anchor = (n_h, e_h)
             status = "converged"
             break
+        ladder.levels.pop(level - 1, None)
+        e_2h = e_h
         level += 1
 
     result = PredictionResult(
@@ -326,7 +332,7 @@ def prediction_loop(
         var=var,
         scheme=scheme,
         status=status,
-        refinements_used=max(estimates) + 1,
+        refinements_used=level + 1,
         frame=frame,
     )
     if anchor is not None:
@@ -366,9 +372,9 @@ def brute_force_sweep(
 
     Each level is solved unscaled, and each error value is divided by var's
     frame, the L2 norm of its `frame_variable`: the closed-form norm, or
-    without a closed form the norm settled by the C_S rule on a separate
-    ladder of unscaled solves (at the default tol_prm).  Uses the
-    exact-solution error when available, the once-refined estimate
+    without a closed form the norm the C_S rule settles (capped by N_MAX)
+    before level 0, on the sweep's own ladder, whose solves the walk reuses.
+    Uses the exact-solution error when available, the once-refined estimate
     otherwise.  Stops at the DoF cap or, when rise_streak is set, after that
     many consecutive error increases, which marks the round-off branch well
     past the minimum.  rise_streak=None always walks to the cap, giving every
@@ -378,31 +384,25 @@ def brute_force_sweep(
     """
     _, frame_var = _checked_frame(flavor, p, var, scheme)
     n_max = N_MAX if n_max is None else n_max
+    ladder = _Ladder(spec, flavor, p, {var, frame_var} - {None}, solver, tol_prm)
     if frame_var is None:
         frame = 1.0
     elif spec.has_exact:
         frame = l2_norm(lambda x: eval_exact(spec, frame_var, x))
     else:
-        def norm_at(level: int) -> float:
-            system, report = solve_level(spec, flavor, p, level, solver=solver)
-            return l2_norm(reconstruct(report, system, frame_var))
-
-        frame = _settled_norm(norm_at, spec, flavor, frame_var, p, N_MAX)
+        frame = _settled_norm(ladder, frame_var, N_MAX)
+    ladder.names = {var}
 
     curve = ErrorCurve()
     rises = 0
-    use_exact = spec.has_exact
-    prev_field = None
     level = 0
     while True:
-        system, report = solve_level(spec, flavor, p, level, solver=solver, tol_prm=tol_prm)
-        fld = reconstruct(report, system, var)
-        del system, report  # free this level's band before the next one is assembled
+        fld = ladder.field(level, var)
         record = None
-        if use_exact:
+        if spec.has_exact:
             record = error_exact(fld, spec)
-        elif prev_field is not None:
-            record = error_refined(prev_field, fld)
+        elif level:
+            record = error_refined(ladder.field(level - 1, var), fld)
         if record is not None:
             record.value /= frame
             if not np.isfinite(record.value):
@@ -416,8 +416,8 @@ def brute_force_sweep(
             curve.append(record)
             if rise_streak is not None and rises >= rise_streak:
                 break
-        if host_dof_count(flavor, var, p, 1 << level, spec.complex_valued) >= n_max:
+        if fld.n_dof >= n_max:
             break
-        prev_field = fld
+        ladder.levels.pop(level - 1, None)
         level += 1
     return curve

@@ -43,6 +43,16 @@ def _without_closed_form(spec):
     return dataclasses.replace(spec, exact_u=None, exact_ux=None, exact_uxx=None)
 
 
+def _zero_data():
+    """bench-poisson with zero load and zero boundary values: u = 0, and so is its norm."""
+    spec = catalog("bench-poisson")
+    return dataclasses.replace(
+        spec, f=lambda x: np.zeros(np.shape(x)),
+        bc_left=dataclasses.replace(spec.bc_left, value=0.0),
+        bc_right=dataclasses.replace(spec.bc_right, value=0.0),
+    )
+
+
 def _recorded_solves(run, *args, **kwargs):
     """run's result, and the level of every level it solves, in order."""
     levels = []
@@ -199,9 +209,11 @@ class TestAlgorithmDefaults:
 
 
 class TestNormalization:
-    """The c_s norm ladder, seen through brute force without a closed form and
-    through prediction_loop(...).frame; brute force's ladder is capped only by
-    the default DoF cap, so a short sweep shows all of it."""
+    """The c_s norm ladder, seen through prediction_loop(...).frame and through
+    brute force without a closed form.  One ladder serves the norm and the
+    walk: brute force settles the norm on its own ladder before it solves
+    level 0, capped only by the default DoF cap, so a short sweep shows all
+    of it."""
 
     def test_linear_solution_exact_norm(self):
         # u = x reproduced exactly at any level: accepted at the first comparison
@@ -238,14 +250,18 @@ class TestNormalization:
         assert err.value.refinement_level == 8
         assert err.value.last_norm > 0
 
-    def test_non_finite_norm_raises_at_once(self):
-        for run, spec in [(prediction_loop, _nan_load()),
-                          (brute_force_sweep, _without_closed_form(_nan_load()))]:
-            with pytest.raises(NormalizationError) as err:
-                run(spec, "standard", 1, "u")
-            assert str(err.value) == "norm estimate is nan at refinement 8"
-            assert err.value.refinement_level == 8
-            assert np.isnan(err.value.last_norm)
+    def test_non_finite_norm_raises_at_once(self, monkeypatch):
+        # a NaN norm, or a norm of exactly 0, never settles: no walk to the cap,
+        # which is lowered so that a walk to it stays small
+        monkeypatch.setattr(prediction, "N_MAX", 10**5)
+        for load, norm in [(_nan_load(), "nan"), (_zero_data(), "0.0")]:
+            for run, spec in [(prediction_loop, load),
+                              (brute_force_sweep, _without_closed_form(load))]:
+                with pytest.raises(NormalizationError) as err:
+                    run(spec, "standard", 1, "u")
+                assert str(err.value) == f"norm estimate is {norm} at refinement 8"
+                assert err.value.refinement_level == 8
+                assert str(err.value.last_norm) == norm
 
 
 class TestSchemeSelection:
@@ -350,7 +366,7 @@ class TestPredictionLoop:
 
 
 class TestSingleLadder:
-    """prediction_loop solves each level once and reads its frame norm off that ladder."""
+    """Each walk solves each level once and reads its frame norm off that ladder."""
 
     @pytest.mark.parametrize("name, flavor, p, var", [
         ("bench-poisson", "standard", 2, "u"),
@@ -362,6 +378,18 @@ class TestSingleLadder:
         assert res.status == "converged"
         assert sorted(levels) == sorted(set(levels))
         assert max(levels) >= res.refinements_used
+
+    @pytest.mark.parametrize("flavor, p, var, scheme", [
+        ("standard", 2, "u", "auto"),
+        ("mixed", 3, "uxx", "M1"),
+    ])
+    def test_sweep_solves_each_level_at_most_once(self, flavor, p, var, scheme):
+        # no closed form: the sweep walks on through the levels its norm settled on
+        curve, levels = _recorded_solves(brute_force_sweep, catalog("validation-helmholtz"),
+                                         flavor, p, var, scheme=scheme, n_max=20000)
+        norm_levels = levels[:levels.index(0)]
+        assert norm_levels and max(norm_levels) <= curve[-1].refinement_level
+        assert sorted(levels) == sorted(set(levels))
 
     @pytest.mark.parametrize("name, flavor, p, var", [
         ("bench-poisson", "standard", 2, "u"),
